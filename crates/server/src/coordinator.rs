@@ -1,86 +1,83 @@
-//! The coordinator: one front door fanning `POST /v1/jobs` out to a
-//! fleet of worker processes over the versioned wire protocol.
+//! The coordinator: the remote backend of [`JobService`], placing jobs on
+//! a fleet of worker processes over the versioned wire protocol.
 //!
-//! The coordinator is a router, not a simulator — it runs no engine. A
-//! submitted manifest is validated locally (through the *same*
-//! [`JobBuilder`] the workers use, so a bad manifest never half-lands on
-//! the fleet), each job gets a coordinator-global id, and the job is
-//! forwarded to the worker its id hashes to on the consistent-hash
-//! [`HashRing`]. Clients poll the coordinator exactly as they would a
-//! single server; status documents are proxied from the owning worker
-//! with the worker-local id rewritten to the global one, so the embedded
-//! `result` object stays byte-identical to what `fts batch` produces.
+//! A coordinator is a [`Server`] whose job service runs no engine. It
+//! shares admission, the registry, status documents, listing, the cache
+//! surface, the router and the run loop with `fts serve`; this module
+//! holds only what is remote: placement, probing, re-placement, the
+//! proxied poll/cancel/trace, and the cache and shutdown fan-out.
 //!
-//! **Failure model.** A periodic `/healthz` prober maintains an up/down
-//! flag per worker; down workers are skipped when routing new work.
-//! Recovery of already-routed jobs is *lazy*: when a status poll (or the
-//! drain loop) finds the owning worker dead — connection refused, or a
-//! fresh restart answering `404` for the old job — the coordinator
-//! re-submits the job's stored single-job manifest to the next live
-//! worker on the ring, up to `route_attempts` times. Re-placement does
-//! network I/O, so the job is *claimed* (`Rerouting`) under the
-//! registry lock and placed with the lock released; if no worker can
-//! take it the job is parked `Stranded` — explicitly holding **no**
-//! remote id, so a later poll re-places it instead of ever polling a
-//! restarted worker for an id that now belongs to someone else's job.
-//! Re-running is safe because results are deterministic: a job that ran
-//! to completion on a worker whose answer we never read produces the
-//! byte-identical row on its second run. A job whose attempts are
-//! exhausted is closed out with a synthetic `failed` row rather than
-//! left dangling — drain always terminates. A cancel acknowledged while
-//! the owning worker is unreachable is recorded as a terminal cancelled
-//! row, so an acknowledged cancellation is never resurrected by the
-//! re-route path.
+//! Submissions are validated locally (through the *same* [`JobBuilder`]
+//! the workers use, so a bad manifest never half-lands on the fleet),
+//! each job gets a coordinator-global id, and the job is forwarded to
+//! the worker its id hashes to on the consistent-hash [`HashRing`].
+//! Clients poll the coordinator exactly as they would a single server.
+//! A worker's finished `job` row is lifted out of its status document as
+//! a byte span and stored verbatim, then rendered by the same status
+//! function the local path uses — so the embedded `result` object stays
+//! byte-identical to what `fts batch` produces.
+//!
+//! **Lifecycle.** A remote job's state changes only through
+//! `transition`, a pure function of (state, event) that names the one
+//! network step to take next. The registry lock is held while it runs and
+//! released while that step runs; the step's outcome is fed back as the
+//! next event. The rules it encodes:
+//!
+//! * Recovery is *lazy*: when a status poll (or the drain loop) finds the
+//!   owning worker dead — connection refused, or a restart answering
+//!   `404` — the job's stored single-job manifest is placed on the next
+//!   live worker on the ring, up to `route_attempts` times. Re-running is
+//!   safe because results are deterministic.
+//! * A job claimed for re-placement is `Rerouting`; if no worker takes it
+//!   it is parked `Stranded`, holding **no** remote id, so a later poll
+//!   re-places it instead of asking a restarted worker about an id that
+//!   now belongs to someone else's job. A job whose attempts are
+//!   exhausted closes with a synthetic `failed` row — drain always
+//!   terminates.
+//! * A done row is accepted only when its `cache.key` equals the key
+//!   computed at admission. A restarted worker can reissue a remote id
+//!   to another job; that job's row is treated like a `404`.
+//! * An acknowledged cancel is binding. It is forwarded to the owning
+//!   worker and recorded on the job; when the worker is unreachable, the
+//!   job has no placement, or its worker is later lost, the job closes
+//!   as a terminal cancelled row and is never placed again. A placement
+//!   that lands after the job closed is recalled.
 //!
 //! **Admission.** All-or-nothing admission is kept, with one documented
 //! relaxation: validation is atomic (whole manifest or nothing), but
-//! forwarding is per-job, so a mid-manifest fleet failure triggers a
-//! best-effort cancel of the already-forwarded prefix before the whole
-//! submission is rejected with `503 no_workers`. A client that got ids
-//! back holds jobs the fleet accepted; a client that got an error holds
-//! nothing.
+//! forwarding is per-job, so a mid-manifest fleet failure recalls the
+//! already-forwarded prefix before the whole submission is rejected with
+//! `503 no_workers`. Decks are forwarded whole to one worker.
 //!
-//! **Result cache.** The coordinator keeps its own [`ResultCache`] keyed
-//! by the same canonical `cache_key/1` the workers use. Admission
-//! consults it before routing: a `default`-mode job whose key is cached
-//! is minted Done locally and never touches the fleet. Proxied
-//! completions populate the cache by lifting the `result` bytes out of
-//! the worker's document verbatim (never parse → re-render — byte
-//! identity is the cache contract). `GET /v1/cache` reports the
-//! fleet-wide aggregate plus a per-worker breakdown, and
-//! `DELETE /v1/cache` flushes the coordinator and fans the flush out to
-//! every worker over the [`WireClient`].
+//! **Result cache.** The coordinator's own cache is keyed by the same
+//! canonical `cache_key/1` the workers use. Admission consults it before
+//! routing, and accepted completions fill it with the `result` bytes of
+//! the worker's row. `GET /v1/cache` reports the fleet-wide aggregate
+//! plus a per-node breakdown, and `DELETE /v1/cache` fans the flush out
+//! to every worker.
 //!
 //! **Drain ordering** (`POST /v1/shutdown`, SIGINT, or
-//! [`ServerHandle`]): stop accepting, serve queued connections, poll
-//! every routed job to completion (rerouting around dead workers), and
-//! only then — with zero jobs in flight — cascade the shutdown to each
-//! worker. Workers drain their own queues before exiting, so the fleet
-//! order is: coordinator empties first, then the fleet.
+//! [`ServerHandle`](crate::ServerHandle)): stop accepting, serve queued
+//! connections, poll every routed job to completion (re-placing around
+//! dead workers), and only then — with zero jobs in flight — cascade the
+//! shutdown to each worker.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::client::{ClientError, ClientLimits, WireClient};
-use crate::http::{HttpError, HttpLimits, Request};
+use crate::http::HttpLimits;
 use crate::ring::HashRing;
-use crate::server::{
-    accept_loop, admission_response, bind_addr, close_conn_queue, json_ok, list_params,
-    new_conn_queue, prom_escape, prom_num, render_http_series, render_telemetry_series,
-    spawn_conn_workers, wire_error_response, HttpApp, HttpMetrics, Response, ServerHandle,
-    ShutdownReport,
+use crate::server::{prom_escape, Server};
+use crate::service::{
+    cache_stats_fields, JobBuilder, JobEntry, JobService, JobState, TraceLookup,
+    DEFAULT_CACHE_ENTRIES,
 };
-use crate::service::{build_job, JobBuilder, SubmitError, DEFAULT_CACHE_ENTRIES};
-use crate::signal;
 use crate::wire::{
-    cache_member_json, json_escape, json_f64, single_job_manifest, BatchManifest, Json, WireError,
-    SCHEMA_VERSION,
+    json_escape, member_span, single_job_manifest, BatchManifest, Json, SCHEMA_VERSION,
 };
-use fts_engine::{
-    cache_key, CacheKey, CacheMode, CacheStats, CachedResult, ResultCache, DEFAULT_CACHE_BYTES,
-};
+use fts_engine::{CacheStats, DEFAULT_CACHE_BYTES};
 
 /// Coordinator tunables; every field has a production-safe default
 /// except the worker list, which must be non-empty.
@@ -94,14 +91,14 @@ pub struct CoordinatorConfig {
     /// `/healthz` probe period per worker.
     pub probe_interval: Duration,
     /// Entry bound shared by the coordinator's own result cache and the
-    /// finished (proxied-done or synthetic-failed) rows retained before
+    /// finished (proxied-done or synthetic) rows retained before
     /// oldest-first eviction, as on the single-process server. Replaces
     /// the former `retain_done` knob (PR 10).
     pub cache_entries: usize,
     /// Byte bound on the coordinator's result-cache payloads.
     pub cache_bytes: usize,
-    /// Times one job may be re-routed to another worker before the
-    /// coordinator closes it out with a synthetic `failed` row.
+    /// Times one job may be placed on a worker before the coordinator
+    /// closes it out with a synthetic `failed` row.
     pub route_attempts: usize,
     /// Cascade `POST /v1/shutdown` to every worker after the
     /// coordinator's own drain empties (on by default; disable to leave
@@ -135,1255 +132,9 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// One worker as the coordinator sees it: its client, health flag, and
-/// route counter.
-struct WorkerSlot {
-    addr: String,
-    client: WireClient,
-    /// Flipped by the prober and by routing-time transport failures;
-    /// optimistically `true` at startup so the first submissions do not
-    /// wait a probe period.
-    up: AtomicBool,
-    /// Jobs ever routed (first placement or re-route) to this worker.
-    routed: AtomicU64,
-}
-
-enum CoordState {
-    /// Forwarded to `workers[worker]` as remote job `remote`.
-    Routed {
-        worker: usize,
-        remote: u64,
-        attempts: usize,
-    },
-    /// The last placement died and no candidate could take the job, so
-    /// it holds **no** remote id. The next status poll goes straight to
-    /// re-placement — never to a status fetch, whose id could collide
-    /// with a different job on a restarted worker's fresh registry.
-    Stranded { attempts: usize },
-    /// A poll thread claimed the job and is re-placing it with the
-    /// registry lock released; concurrent polls answer synthetic
-    /// `queued` instead of stacking behind the placement I/O.
-    Rerouting { attempts: usize },
-    /// Terminal: the cached (already id-rewritten) status document.
-    /// `at` keeps trace proxying alive for jobs that really ran
-    /// somewhere; synthetic close-outs (failed/cancelled) carry `None`.
-    Done {
-        kind: String,
-        body: String,
-        at: Option<(usize, u64)>,
-    },
-}
-
-struct CoordJob {
-    label: String,
-    /// The single-job manifest to re-submit on worker death. `None` for
-    /// multi-analysis deck jobs, which cannot be re-posted one job at a
-    /// time — those fail closed instead of re-running siblings.
-    resubmit: Option<String>,
-    /// Canonical content hash, computed from the locally built job at
-    /// admission — identical to the key the owning worker computes.
-    key: CacheKey,
-    /// The submission's cache policy; gates both the admission lookup
-    /// and the completion-time insert.
-    mode: CacheMode,
-    state: CoordState,
-}
-
-struct CoordRegistry {
-    jobs: HashMap<u64, CoordJob>,
-    done_order: VecDeque<u64>,
-    next_id: u64,
-    draining: bool,
-    completed: u64,
-}
-
-/// One admission unit after local validation: everything the submit path
-/// needs to either serve the job from the coordinator's cache or forward
-/// it to a worker.
-struct Prepared {
-    label: String,
-    /// Single-job manifest for death-time re-submission (`None` for
-    /// multi-analysis deck jobs).
-    resubmit: Option<String>,
-    /// The manifest forwarded on first placement.
-    forward: String,
-    key: CacheKey,
-    mode: CacheMode,
-    /// An admission-time cache hit; `Some` short-circuits routing.
-    hit: Option<CachedResult>,
-}
-
-/// The coordinator's routing service: registry + fleet view. Implements
-/// [`HttpApp`], so it runs behind the same accept loop, connection
-/// workers, and metrics as [`JobService`](crate::JobService).
-struct CoordService {
-    workers: Vec<WorkerSlot>,
-    ring: HashRing,
-    builder: Arc<dyn JobBuilder>,
-    registry: Mutex<CoordRegistry>,
-    cache_entries: usize,
-    /// The coordinator's own content-addressed result cache: admission
-    /// hits are served here without touching the fleet.
-    cache: ResultCache,
-    route_attempts: usize,
-    rejected: AtomicU64,
-}
-
-/// Coordinator gauges for `/healthz` and `/metrics`.
-struct CoordGauges {
-    routed: usize,
-    done_retained: usize,
-    completed: u64,
-    rejected: u64,
-    workers_up: usize,
-}
-
-impl CoordService {
-    fn new(config: &CoordinatorConfig, builder: Arc<dyn JobBuilder>) -> CoordService {
-        let workers = config
-            .workers
-            .iter()
-            .map(|addr| WorkerSlot {
-                addr: addr.clone(),
-                client: WireClient::new(addr.clone()).limits(config.client_limits),
-                up: AtomicBool::new(true),
-                routed: AtomicU64::new(0),
-            })
-            .collect();
-        CoordService {
-            workers,
-            ring: HashRing::new(&config.workers),
-            builder,
-            registry: Mutex::new(CoordRegistry {
-                jobs: HashMap::new(),
-                done_order: VecDeque::new(),
-                next_id: 0,
-                draining: false,
-                completed: 0,
-            }),
-            cache_entries: config.cache_entries.max(1),
-            cache: ResultCache::new(config.cache_entries.max(1), config.cache_bytes),
-            route_attempts: config.route_attempts.max(1),
-            rejected: AtomicU64::new(0),
-        }
-    }
-
-    fn gauges(&self) -> CoordGauges {
-        let reg = self.registry.lock().expect("coord registry poisoned");
-        let routed = reg
-            .jobs
-            .values()
-            .filter(|j| !matches!(j.state, CoordState::Done { .. }))
-            .count();
-        CoordGauges {
-            routed,
-            done_retained: reg.done_order.len(),
-            completed: reg.completed,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            workers_up: self
-                .workers
-                .iter()
-                .filter(|w| w.up.load(Ordering::SeqCst))
-                .count(),
-        }
-    }
-
-    /// Ring candidates for `id`, live workers first (ring order within
-    /// each group) — down workers stay as a last resort because the
-    /// prober's view can lag a recovery.
-    fn placement_order(&self, id: u64) -> Vec<usize> {
-        let candidates = self.ring.candidates(HashRing::key_for_id(id));
-        let (live, down): (Vec<usize>, Vec<usize>) = candidates
-            .into_iter()
-            .partition(|&w| self.workers[w].up.load(Ordering::SeqCst));
-        live.into_iter().chain(down).collect()
-    }
-
-    /// Forwards one single-job manifest to the first worker in
-    /// `placement_order(id)` that accepts it (skipping `exclude`).
-    /// Transport failures mark the worker down; API refusals (a worker's
-    /// own `429`/`503`) just move on to the next candidate.
-    fn place(&self, id: u64, manifest: &str, exclude: Option<usize>) -> Option<(usize, u64)> {
-        for w in self.placement_order(id) {
-            if exclude == Some(w) {
-                continue;
-            }
-            match self.workers[w].client.submit_manifest(manifest) {
-                Ok(remotes) if remotes.len() == 1 => {
-                    self.workers[w].routed.fetch_add(1, Ordering::Relaxed);
-                    fts_telemetry::counter("coordinator.jobs.routed", 1);
-                    return Some((w, remotes[0]));
-                }
-                Ok(remotes) => {
-                    // Unexpected id count: recall whatever the worker
-                    // accepted before moving on, so no orphaned
-                    // duplicates keep running on the fleet.
-                    for r in remotes {
-                        let _ = self.workers[w].client.cancel(r);
-                    }
-                    continue;
-                }
-                Err(ClientError::Api(_)) => continue,
-                Err(_) => {
-                    self.mark_down(w);
-                    continue;
-                }
-            }
-        }
-        None
-    }
-
-    fn mark_down(&self, w: usize) {
-        if self.workers[w].up.swap(false, Ordering::SeqCst) {
-            fts_telemetry::counter("coordinator.workers.marked_down", 1);
-        }
-    }
-
-    /// `POST /v1/jobs` and `/v1/decks` both land here once lowered to
-    /// one [`Prepared`] unit per job.
-    fn submit_prepared(&self, prepared: Vec<Prepared>) -> Result<Vec<u64>, SubmitError> {
-        // Reserve global ids first; ids burned by a failed submission
-        // stay burned (ids are opaque handles, not dense indices).
-        let base = {
-            let mut reg = self.registry.lock().expect("coord registry poisoned");
-            if reg.draining {
-                return Err(SubmitError::ShuttingDown);
-            }
-            let base = reg.next_id;
-            reg.next_id += prepared.len() as u64;
-            base
-        };
-
-        // Forward the cache misses outside the lock — placement does
-        // network I/O; hits never leave this process.
-        let mut placements: Vec<Option<(usize, u64)>> = vec![None; prepared.len()];
-        for (k, p) in prepared.iter().enumerate() {
-            if p.hit.is_some() {
-                continue;
-            }
-            let id = base + k as u64;
-            match self.place(id, &p.forward, None) {
-                Some((w, remote)) => placements[k] = Some((w, remote)),
-                None => {
-                    // Roll back the prefix: best-effort cancel remotely,
-                    // nothing was registered locally yet.
-                    for (w, remote) in placements.iter().flatten() {
-                        let _ = self.workers[*w].client.cancel(*remote);
-                    }
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::Unavailable(
-                        "no worker accepted the job (fleet down or refusing)".into(),
-                    ));
-                }
-            }
-        }
-
-        let mut reg = self.registry.lock().expect("coord registry poisoned");
-        if reg.draining {
-            // Drain began while we were forwarding; its completion scan
-            // may already have passed, so refuse rather than strand jobs.
-            for (w, remote) in placements.iter().flatten() {
-                let _ = self.workers[*w].client.cancel(*remote);
-            }
-            return Err(SubmitError::ShuttingDown);
-        }
-        let mut ids = Vec::with_capacity(prepared.len());
-        for (k, p) in prepared.into_iter().enumerate() {
-            let id = base + k as u64;
-            if let Some(cached) = p.hit {
-                // Admission hit: mint the terminal document locally with
-                // the stored result bytes under this submission's label.
-                let body = hit_status(id, &p.label, p.key, &cached);
-                reg.jobs.insert(
-                    id,
-                    CoordJob {
-                        label: p.label,
-                        resubmit: p.resubmit,
-                        key: p.key,
-                        mode: p.mode,
-                        state: CoordState::Done {
-                            kind: cached.kind.to_owned(),
-                            body,
-                            at: None,
-                        },
-                    },
-                );
-                reg.completed += 1;
-                reg.done_order.push_back(id);
-                while reg.done_order.len() > self.cache_entries {
-                    let evicted = reg.done_order.pop_front().expect("non-empty");
-                    reg.jobs.remove(&evicted);
-                }
-                fts_telemetry::counter("coordinator.jobs.completed", 1);
-            } else {
-                let (worker, remote) = placements[k].expect("miss was placed above");
-                reg.jobs.insert(
-                    id,
-                    CoordJob {
-                        label: p.label,
-                        resubmit: p.resubmit,
-                        key: p.key,
-                        mode: p.mode,
-                        state: CoordState::Routed {
-                            worker,
-                            remote,
-                            attempts: 1,
-                        },
-                    },
-                );
-            }
-            ids.push(id);
-        }
-        Ok(ids)
-    }
-
-    /// `POST /v1/jobs`: validate the whole manifest locally, then
-    /// forward job-by-job.
-    fn submit_manifest(&self, body: &str) -> Result<Vec<u64>, SubmitError> {
-        let mut manifest = BatchManifest::parse(body).map_err(SubmitError::Invalid)?;
-        let mut built = Vec::with_capacity(manifest.jobs.len());
-        for (k, spec) in manifest.jobs.iter().enumerate() {
-            built.push(build_job(self.builder.as_ref(), spec, k).map_err(SubmitError::Invalid)?);
-        }
-        let width = manifest.ensemble_width;
-        let prepared = manifest
-            .jobs
-            .iter_mut()
-            .enumerate()
-            .map(|(k, spec)| {
-                // Pin the label before forwarding: the worker would
-                // otherwise re-default it from its own (index 0) view.
-                spec.label = Some(spec.label_or_default(k));
-                // The validation build doubles as the canonicalizer
-                // input: the key is label-independent, so pinning the
-                // label after building does not change it.
-                let key = cache_key(&built[k].job, built[k].out, spec.waveform);
-                let hit = spec.cache.reads().then(|| self.cache.lookup(key)).flatten();
-                let single = single_job_manifest(spec, width);
-                Prepared {
-                    label: spec.label.clone().expect("just set"),
-                    resubmit: Some(single.clone()),
-                    forward: single,
-                    key,
-                    mode: spec.cache,
-                    hit,
-                }
-            })
-            .collect();
-        self.submit_prepared(prepared)
-    }
-
-    /// `POST /v1/decks`: validate locally, forward the raw deck to one
-    /// worker (a deck's analyses must share their elaborated netlist, so
-    /// the deck is never split). Single-analysis decks can be re-routed
-    /// as a deck; multi-analysis decks fail closed on worker death
-    /// rather than re-running sibling analyses.
-    fn submit_deck(&self, deck: &str) -> Result<Vec<u64>, SubmitError> {
-        let subs = crate::service::deck_submissions(deck).map_err(SubmitError::Invalid)?;
-        if subs.is_empty() {
-            return Err(SubmitError::Invalid(WireError::manifest(
-                "empty_manifest",
-                "no jobs to admit",
-            )));
-        }
-        let labels: Vec<String> = subs.iter().map(|s| s.label.clone()).collect();
-        // Decks route whole (shared elaborated netlist), so there is no
-        // per-analysis hit short-circuit — but completions still populate
-        // the cache through `close_done`, so the keys are recorded.
-        let keys: Vec<CacheKey> = subs
-            .iter()
-            .map(|s| cache_key(&s.job, s.out, s.waveform))
-            .collect();
-
-        let base = {
-            let mut reg = self.registry.lock().expect("coord registry poisoned");
-            if reg.draining {
-                return Err(SubmitError::ShuttingDown);
-            }
-            let base = reg.next_id;
-            reg.next_id += labels.len() as u64;
-            base
-        };
-
-        // One placement decision for the whole deck, keyed by its first id.
-        for w in self.placement_order(base) {
-            match self.workers[w].client.submit_deck(deck) {
-                Ok(remotes) if remotes.len() == labels.len() => {
-                    self.deck_registered(base, &labels, &keys, w, &remotes, deck);
-                    return Ok((base..base + labels.len() as u64).collect());
-                }
-                Ok(remotes) => {
-                    // Unexpected job count: recall the accepted jobs
-                    // before trying the next candidate.
-                    for r in remotes {
-                        let _ = self.workers[w].client.cancel(r);
-                    }
-                    continue;
-                }
-                Err(ClientError::Api(_)) => continue,
-                Err(_) => {
-                    self.mark_down(w);
-                    continue;
-                }
-            }
-        }
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        Err(SubmitError::Unavailable(
-            "no worker accepted the deck (fleet down or refusing)".into(),
-        ))
-    }
-
-    /// Registers a successfully forwarded deck's jobs.
-    fn deck_registered(
-        &self,
-        base: u64,
-        labels: &[String],
-        keys: &[CacheKey],
-        worker: usize,
-        remotes: &[u64],
-        deck: &str,
-    ) {
-        self.workers[worker]
-            .routed
-            .fetch_add(labels.len() as u64, Ordering::Relaxed);
-        let resubmit = (labels.len() == 1).then(|| deck.to_owned());
-        let mut reg = self.registry.lock().expect("coord registry poisoned");
-        for (k, (label, &remote)) in labels.iter().zip(remotes).enumerate() {
-            reg.jobs.insert(
-                base + k as u64,
-                CoordJob {
-                    label: label.clone(),
-                    resubmit: resubmit.clone(),
-                    key: keys[k],
-                    mode: CacheMode::Default,
-                    state: CoordState::Routed {
-                        worker,
-                        remote,
-                        attempts: 1,
-                    },
-                },
-            );
-        }
-    }
-
-    /// `GET /v1/jobs/{id}`: cached terminal body, or a live proxy to the
-    /// owning worker with the remote id rewritten to the global one. A
-    /// dead or amnesiac worker triggers a re-route.
-    fn status_json(&self, id: u64) -> Option<String> {
-        let (worker, remote, label) = {
-            let reg = self.registry.lock().expect("coord registry poisoned");
-            let job = reg.jobs.get(&id)?;
-            match &job.state {
-                CoordState::Done { body, .. } => return Some(body.clone()),
-                // Another thread is re-placing it right now.
-                CoordState::Rerouting { .. } => {
-                    return Some(synthetic_status(id, &job.label, "queued"));
-                }
-                // No valid remote id exists: skip the status fetch and
-                // go straight to re-placement.
-                CoordState::Stranded { .. } => {
-                    let label = job.label.clone();
-                    drop(reg);
-                    return Some(self.reroute(id, None, &label));
-                }
-                CoordState::Routed { worker, remote, .. } => (*worker, *remote, job.label.clone()),
-            }
-        };
-
-        match self.workers[worker].client.status(remote) {
-            Ok(body) => {
-                let body = rewrite_id(&body, remote, id);
-                if body.contains("\"status\":\"done\"") {
-                    self.complete(id, worker, remote, &body);
-                }
-                Some(body)
-            }
-            Err(ClientError::Api(e)) if e.status == 404 => {
-                // The worker restarted (fresh registry) or evicted the
-                // row before we read it: re-run elsewhere.
-                Some(self.reroute(id, Some(worker), &label))
-            }
-            Err(ClientError::Api(_)) => Some(synthetic_status(id, &label, "routed")),
-            Err(_) => {
-                self.mark_down(worker);
-                Some(self.reroute(id, Some(worker), &label))
-            }
-        }
-    }
-
-    /// Installs a terminal row for `id` in a registry the caller holds
-    /// locked, bumping the completion gauge and applying the
-    /// `cache_entries` done-row eviction exactly like the single-process
-    /// server. Returns whether this call won the transition (a job
-    /// already terminal, or evicted, is left alone).
-    ///
-    /// Real completions (`at` is `Some`) also populate the coordinator's
-    /// result cache: the `result` bytes are lifted out of the proxied
-    /// document verbatim — never parse → re-render, byte identity is the
-    /// cache contract.
-    fn close_done(
-        &self,
-        reg: &mut CoordRegistry,
-        id: u64,
-        kind: &str,
-        body: String,
-        at: Option<(usize, u64)>,
-    ) -> bool {
-        let Some(job) = reg.jobs.get_mut(&id) else {
-            return false;
-        };
-        if matches!(job.state, CoordState::Done { .. }) {
-            return false; // A concurrent poll won the transition.
-        }
-        if at.is_some() && job.mode.writes() {
-            // Only deterministic successes are cacheable; the static tag
-            // doubles as the success gate.
-            let cacheable: Option<&'static str> = match kind {
-                "op" => Some("op"),
-                "sweep" => Some("sweep"),
-                "transient" => Some("transient"),
-                "ac" => Some("ac"),
-                _ => None,
-            };
-            if let Some(tag) = cacheable {
-                if let Some(result) = result_bytes(&body) {
-                    let attempts = attempts_in(&body).unwrap_or(1);
-                    self.cache.insert(job.key, tag, result.to_owned(), attempts);
-                }
-            }
-        }
-        job.state = CoordState::Done {
-            kind: kind.to_owned(),
-            body,
-            at,
-        };
-        reg.completed += 1;
-        reg.done_order.push_back(id);
-        while reg.done_order.len() > self.cache_entries {
-            let evicted = reg.done_order.pop_front().expect("non-empty");
-            reg.jobs.remove(&evicted);
-        }
-        true
-    }
-
-    /// Transitions a routed job to Done with its cached body.
-    fn complete(&self, id: u64, worker: usize, remote: u64, body: &str) {
-        let kind = Json::parse(body)
-            .ok()
-            .and_then(|d| d.get("kind").and_then(Json::as_str).map(str::to_owned))
-            .unwrap_or_else(|| "unknown".to_owned());
-        let mut reg = self.registry.lock().expect("coord registry poisoned");
-        if self.close_done(&mut reg, id, &kind, body.to_owned(), Some((worker, remote))) {
-            fts_telemetry::counter("coordinator.jobs.completed", 1);
-        }
-    }
-
-    /// Closes `id` as a terminal cancelled row — used when a cancel was
-    /// acknowledged but no reachable worker holds the job, so the
-    /// cancellation must be recorded here or re-routing would resurrect
-    /// the job the client was told is dead.
-    fn close_cancelled(&self, reg: &mut CoordRegistry, id: u64, label: &str) {
-        let body = synthetic_cancelled(id, label);
-        if self.close_done(reg, id, "cancelled", body, None) {
-            fts_telemetry::counter("coordinator.jobs.cancelled_closed", 1);
-        }
-    }
-
-    /// Re-places job `id` after its owning worker died or forgot it
-    /// (`failed = Some(w)`), or after an earlier attempt left it
-    /// stranded with no placement at all (`failed = None`). Returns the
-    /// status body to serve right now.
-    ///
-    /// Placement does network I/O — each dead candidate can burn a full
-    /// connect timeout — so the job is *claimed* under the registry lock
-    /// (state → `Rerouting`), placed with the lock released, and the
-    /// outcome committed under the lock again. Concurrent polls answer
-    /// a synthetic `queued` row instead of stalling every endpoint
-    /// behind the lock, and a cancel that lands mid-placement wins: the
-    /// commit sees the terminal state and recalls the fresh placement.
-    fn reroute(&self, id: u64, failed: Option<usize>, label: &str) -> String {
-        // Phase 1: claim the job (or close it out) under the lock.
-        let manifest = {
-            let mut reg = self.registry.lock().expect("coord registry poisoned");
-            let Some(job) = reg.jobs.get_mut(&id) else {
-                return synthetic_status(id, label, "routed");
-            };
-            let attempts = match &job.state {
-                CoordState::Done { body, .. } => return body.clone(),
-                // Another thread owns the re-placement.
-                CoordState::Rerouting { .. } => return synthetic_status(id, label, "queued"),
-                CoordState::Routed {
-                    worker, attempts, ..
-                } => {
-                    if failed != Some(*worker) {
-                        // Another thread already re-routed it.
-                        return synthetic_status(id, label, "routed");
-                    }
-                    *attempts
-                }
-                CoordState::Stranded { attempts } => *attempts,
-            };
-            let closed: Option<String> = if attempts >= self.route_attempts {
-                Some(synthetic_failed(
-                    id,
-                    label,
-                    &format!("worker unavailable after {attempts} route attempts"),
-                ))
-            } else if job.resubmit.is_none() {
-                let died = failed.map_or_else(
-                    || "a worker".to_owned(),
-                    |w| format!("worker {}", self.workers[w].addr),
-                );
-                Some(synthetic_failed(
-                    id,
-                    label,
-                    &format!(
-                        "{died} died holding a multi-analysis deck job, which cannot \
-                         be re-routed standalone"
-                    ),
-                ))
-            } else {
-                None
-            };
-            if let Some(body) = closed {
-                self.close_done(&mut reg, id, "failed", body.clone(), None);
-                fts_telemetry::counter("coordinator.jobs.failed_closed", 1);
-                return body;
-            }
-            let manifest = job.resubmit.clone().expect("checked above");
-            job.state = CoordState::Rerouting { attempts };
-            manifest
-        };
-
-        // Phase 2: place with the lock released.
-        let is_deck = !manifest.trim_start().starts_with('{');
-        let placed = if is_deck {
-            self.placement_order(id)
-                .into_iter()
-                .filter(|&w| Some(w) != failed)
-                .find_map(|w| match self.workers[w].client.submit_deck(&manifest) {
-                    Ok(remotes) if remotes.len() == 1 => Some((w, remotes[0])),
-                    Ok(remotes) => {
-                        for r in remotes {
-                            let _ = self.workers[w].client.cancel(r);
-                        }
-                        None
-                    }
-                    Err(ClientError::Api(_)) => None,
-                    Err(_) => {
-                        self.mark_down(w);
-                        None
-                    }
-                })
-        } else {
-            self.place(id, &manifest, failed)
-        };
-
-        // Phase 3: commit. A placement that lost a race to a terminal
-        // transition (cancel, eviction) is recalled after unlocking.
-        let (body, recall) = {
-            let mut reg = self.registry.lock().expect("coord registry poisoned");
-            match reg.jobs.get_mut(&id) {
-                None => (synthetic_status(id, label, "routed"), placed),
-                Some(job) => match &job.state {
-                    CoordState::Rerouting { attempts } => {
-                        let attempts = *attempts;
-                        match placed {
-                            Some((w, remote)) => {
-                                fts_telemetry::counter("coordinator.jobs.rerouted", 1);
-                                job.state = CoordState::Routed {
-                                    worker: w,
-                                    remote,
-                                    attempts: attempts + 1,
-                                };
-                                // The job restarted from scratch: report queued.
-                                (synthetic_status(id, label, "queued"), None)
-                            }
-                            None => {
-                                // Nobody can take it right now; park it
-                                // with no remote id and let the next poll
-                                // (or the prober flipping a worker back
-                                // up) retry. Burn one attempt so this
-                                // terminates.
-                                job.state = CoordState::Stranded {
-                                    attempts: attempts + 1,
-                                };
-                                (synthetic_status(id, label, "queued"), None)
-                            }
-                        }
-                    }
-                    CoordState::Done { body, .. } => (body.clone(), placed),
-                    // Unreachable — only the claiming thread commits —
-                    // but recall the placement rather than leak it.
-                    CoordState::Routed { .. } | CoordState::Stranded { .. } => {
-                        (synthetic_status(id, label, "routed"), placed)
-                    }
-                },
-            }
-        };
-        if let Some((w, remote)) = recall {
-            let _ = self.workers[w].client.cancel(remote);
-        }
-        body
-    }
-
-    /// `DELETE /v1/jobs/{id}`: proxy the cancel to the owning worker.
-    /// An acknowledged cancel is binding: when the owning worker never
-    /// hears it (unreachable, or the job currently has no placement at
-    /// all), the job is closed out as a terminal cancelled row here, so
-    /// the re-route path can never re-run a job the client was told is
-    /// cancelled.
-    fn cancel(&self, id: u64) -> Option<String> {
-        enum Target {
-            AlreadyDone,
-            Worker(usize, u64, String),
-            ClosedLocally,
-        }
-        let target = {
-            let mut reg = self.registry.lock().expect("coord registry poisoned");
-            let job = reg.jobs.get(&id)?;
-            match &job.state {
-                CoordState::Done { .. } => Target::AlreadyDone,
-                CoordState::Routed { worker, remote, .. } => {
-                    Target::Worker(*worker, *remote, job.label.clone())
-                }
-                // No reachable placement to forward the cancel to.
-                CoordState::Stranded { .. } | CoordState::Rerouting { .. } => {
-                    let label = job.label.clone();
-                    self.close_cancelled(&mut reg, id, &label);
-                    Target::ClosedLocally
-                }
-            }
-        };
-        let (worker, remote, label) = match target {
-            Target::AlreadyDone => {
-                return Some(format!(
-                    "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"cancelled\":true,\"was\":\"done\"}}"
-                ));
-            }
-            Target::ClosedLocally => {
-                return Some(format!(
-                    "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"cancelled\":true,\"was\":\"routed\"}}"
-                ));
-            }
-            Target::Worker(worker, remote, label) => (worker, remote, label),
-        };
-        match self.workers[worker].client.cancel(remote) {
-            Ok(body) => Some(rewrite_id(&body, remote, id)),
-            Err(e) => {
-                if !matches!(e, ClientError::Api(_)) {
-                    self.mark_down(worker);
-                }
-                // The worker never heard the cancel: record it in the
-                // registry so the job is never re-routed. If another
-                // thread moved the job to a fresh placement mid-cancel,
-                // the acknowledgment binds there instead — forward it.
-                enum After {
-                    CloseLocal,
-                    Forward(usize, u64),
-                    Leave,
-                }
-                let mut reg = self.registry.lock().expect("coord registry poisoned");
-                let after = match reg.jobs.get(&id).map(|j| &j.state) {
-                    Some(CoordState::Routed {
-                        worker: w,
-                        remote: r,
-                        ..
-                    }) => {
-                        if (*w, *r) == (worker, remote) {
-                            After::CloseLocal
-                        } else {
-                            After::Forward(*w, *r)
-                        }
-                    }
-                    Some(CoordState::Stranded { .. } | CoordState::Rerouting { .. }) => {
-                        After::CloseLocal
-                    }
-                    Some(CoordState::Done { .. }) | None => After::Leave,
-                };
-                match after {
-                    After::CloseLocal => self.close_cancelled(&mut reg, id, &label),
-                    After::Forward(w, r) => {
-                        drop(reg);
-                        let _ = self.workers[w].client.cancel(r);
-                    }
-                    After::Leave => {}
-                }
-                Some(format!(
-                    "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"cancelled\":true,\"was\":\"routed\"}}"
-                ))
-            }
-        }
-    }
-
-    /// `GET /v1/jobs/{id}/trace`: proxy to wherever the job lives (or
-    /// last lived), passing the worker's status and body through.
-    fn trace(&self, id: u64, chrome: bool) -> Option<Response> {
-        let (worker, remote) = {
-            let reg = self.registry.lock().expect("coord registry poisoned");
-            let job = reg.jobs.get(&id)?;
-            match &job.state {
-                CoordState::Routed { worker, remote, .. } => (*worker, *remote),
-                CoordState::Done {
-                    at: Some((w, r)), ..
-                } => (*w, *r),
-                // Never ran anywhere we can still reach — no trace.
-                CoordState::Done { at: None, .. }
-                | CoordState::Stranded { .. }
-                | CoordState::Rerouting { .. } => return None,
-            }
-        };
-        let path = if chrome {
-            format!("/v1/jobs/{remote}/trace?format=chrome")
-        } else {
-            format!("/v1/jobs/{remote}/trace")
-        };
-        match self.workers[worker].client.call("GET", &path, None) {
-            Ok(resp) => Some(Response::Json {
-                status: resp.status,
-                reason: if resp.status == 200 {
-                    "OK"
-                } else {
-                    "Not Found"
-                },
-                body: rewrite_id(&resp.body, remote, id),
-            }),
-            Err(_) => None,
-        }
-    }
-
-    /// `GET /v1/jobs` over the coordinator's registry: states are
-    /// `routed` (live on a worker) and `done`; rows carry the owning
-    /// worker's address.
-    fn list_json(&self, state: Option<&str>, cursor: Option<u64>, limit: usize) -> String {
-        let reg = self.registry.lock().expect("coord registry poisoned");
-        let mut ids: Vec<u64> = reg.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        let mut rows = Vec::new();
-        let mut truncated = false;
-        let mut last_id = None;
-        for id in ids {
-            if let Some(c) = cursor {
-                if id <= c {
-                    continue;
-                }
-            }
-            let job = &reg.jobs[&id];
-            let (status, kind, worker) = match &job.state {
-                CoordState::Routed { worker, .. } => ("routed", None, Some(*worker)),
-                // In flight but between placements: still "routed" to
-                // the client, with no worker attribution.
-                CoordState::Stranded { .. } | CoordState::Rerouting { .. } => {
-                    ("routed", None, None)
-                }
-                CoordState::Done { kind, at, .. } => {
-                    ("done", Some(kind.clone()), at.map(|(w, _)| w))
-                }
-            };
-            if state.is_some_and(|want| want != status) {
-                continue;
-            }
-            if rows.len() == limit {
-                truncated = true;
-                break;
-            }
-            let mut row = format!(
-                "{{\"id\":{id},\"label\":\"{}\",\"status\":\"{status}\"",
-                json_escape(&job.label),
-            );
-            if let Some(w) = worker {
-                row.push_str(&format!(
-                    ",\"worker\":\"{}\"",
-                    json_escape(&self.workers[w].addr)
-                ));
-            }
-            if let Some(kind) = kind {
-                row.push_str(&format!(",\"kind\":\"{}\"", json_escape(&kind)));
-            }
-            row.push('}');
-            rows.push(row);
-            last_id = Some(id);
-        }
-        crate::service::list_page_json(&rows, truncated, last_id)
-    }
-
-    /// One prober pass: `/healthz` every worker, flip the flags.
-    fn probe(&self) {
-        for w in &self.workers {
-            let alive = w.client.healthz().is_ok();
-            let was = w.up.swap(alive, Ordering::SeqCst);
-            if was != alive {
-                fts_telemetry::counter(
-                    if alive {
-                        "coordinator.workers.recovered"
-                    } else {
-                        "coordinator.workers.marked_down"
-                    },
-                    1,
-                );
-            }
-        }
-    }
-
-    /// Ids of jobs not yet terminal.
-    fn open_jobs(&self) -> Vec<u64> {
-        let reg = self.registry.lock().expect("coord registry poisoned");
-        let mut ids: Vec<u64> = reg
-            .jobs
-            .iter()
-            .filter(|(_, j)| !matches!(j.state, CoordState::Done { .. }))
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Drain: mark draining, poll every routed job to completion
-    /// (rerouting around dead workers as usual), then cascade shutdown
-    /// to the fleet when configured. Terminates because every poll of an
-    /// unreachable job burns one of its bounded route attempts.
-    fn drain(&self, cascade: bool) {
-        {
-            let mut reg = self.registry.lock().expect("coord registry poisoned");
-            reg.draining = true;
-        }
-        loop {
-            let open = self.open_jobs();
-            if open.is_empty() {
-                break;
-            }
-            for id in open {
-                let _ = self.status_json(id);
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        if cascade {
-            for w in &self.workers {
-                let _ = w.client.shutdown();
-            }
-        }
-    }
-
-    fn healthz(&self, started: Instant) -> String {
-        let g = self.gauges();
-        format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"status\":\"ok\",\"role\":\"coordinator\",\
-             \"uptime_s\":{:.3},\"workers\":{{\"total\":{},\"up\":{}}},\
-             \"jobs\":{{\"routed\":{},\"completed\":{},\"rejected\":{},\"done_retained\":{}}}}}",
-            started.elapsed().as_secs_f64(),
-            self.workers.len(),
-            g.workers_up,
-            g.routed,
-            g.completed,
-            g.rejected,
-            g.done_retained,
-        )
-    }
-
-    /// `GET /v1/cache`: fleet-wide aggregate stats at the top level
-    /// (coordinator + every reachable worker, fanned out over the wire),
-    /// with the coordinator's own counters and a per-worker breakdown
-    /// nested alongside.
-    fn cache_stats_doc(&self) -> String {
-        let own = self.cache.stats();
-        let mut agg = own;
-        let mut rows = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let stats = w
-                .client
-                .cache_stats()
-                .ok()
-                .and_then(|body| parse_cache_stats(&body));
-            match stats {
-                Some(s) => {
-                    agg.entries += s.entries;
-                    agg.bytes += s.bytes;
-                    agg.hits += s.hits;
-                    agg.misses += s.misses;
-                    agg.evictions += s.evictions;
-                    rows.push(format!(
-                        "{{\"worker\":\"{}\",{}}}",
-                        json_escape(&w.addr),
-                        cache_stats_fields(&s)
-                    ));
-                }
-                None => rows.push(format!(
-                    "{{\"worker\":\"{}\",\"unreachable\":true}}",
-                    json_escape(&w.addr)
-                )),
-            }
-        }
-        format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},{},\"coordinator\":{{{}}},\"workers\":[{}]}}",
-            cache_stats_fields(&agg),
-            cache_stats_fields(&own),
-            rows.join(","),
-        )
-    }
-
-    /// `DELETE /v1/cache`: flush the coordinator's own cache, then fan
-    /// the flush out to every worker (best effort — an unreachable
-    /// worker flushes on its next restart anyway).
-    fn cache_flush_doc(&self) -> String {
-        self.cache.flush();
-        let mut flushed = 1usize;
-        for w in &self.workers {
-            if w.client.cache_flush().is_ok() {
-                flushed += 1;
-            }
-        }
-        format!("{{\"schema_version\":{SCHEMA_VERSION},\"flushed\":true,\"nodes\":{flushed}}}")
-    }
-
-    fn render_metrics(&self, metrics: &HttpMetrics) -> String {
-        use std::fmt::Write as _;
-        let g = self.gauges();
-        let mut out = String::with_capacity(2048);
-        out.push_str("# fts-coordinator metrics (schema_version 1)\n");
-        let _ = writeln!(out, "fts_jobs_routed {}", g.routed);
-        let _ = writeln!(out, "fts_jobs_completed {}", g.completed);
-        let _ = writeln!(out, "fts_submissions_rejected {}", g.rejected);
-        let _ = writeln!(out, "fts_jobs_done_retained {}", g.done_retained);
-        let cache = self.cache.stats();
-        let _ = writeln!(out, "fts_cache_entries {}", cache.entries);
-        let _ = writeln!(out, "fts_cache_bytes {}", cache.bytes);
-        let _ = writeln!(out, "fts_cache_hits_total {}", cache.hits);
-        let _ = writeln!(out, "fts_cache_misses_total {}", cache.misses);
-        let _ = writeln!(out, "fts_cache_evictions_total {}", cache.evictions);
-        let _ = writeln!(out, "fts_cache_hit_ratio {}", prom_num(cache.hit_ratio()));
-        let _ = writeln!(out, "fts_coordinator_workers {}", self.workers.len());
-        for w in &self.workers {
-            let up = u8::from(w.up.load(Ordering::SeqCst));
-            let _ = writeln!(
-                out,
-                "fts_coordinator_worker_up{{worker=\"{}\"}} {up}",
-                prom_escape(&w.addr)
-            );
-            let _ = writeln!(
-                out,
-                "fts_coordinator_worker_routed_total{{worker=\"{}\"}} {}",
-                prom_escape(&w.addr),
-                w.routed.load(Ordering::Relaxed)
-            );
-        }
-        render_http_series(&mut out, metrics);
-        render_telemetry_series(&mut out);
-        out
-    }
-}
-
-/// Rewrites the *first* `"id":<from>` member in a worker document to the
-/// coordinator-global id. Safe by construction: every proxied document's
-/// own id precedes any embedded payload (`job` rows carry labels and
-/// results but no bare `"id"` member), so the first match is always the
-/// document id — and the embedded `result` bytes are untouched, which is
-/// what keeps served results byte-identical to `fts batch`.
-fn rewrite_id(body: &str, from: u64, to: u64) -> String {
-    let needle = format!("\"id\":{from}");
-    match body.find(&needle) {
-        Some(at) => {
-            let mut out = String::with_capacity(body.len() + 8);
-            out.push_str(&body[..at]);
-            out.push_str(&format!("\"id\":{to}"));
-            out.push_str(&body[at + needle.len()..]);
-            out
-        }
-        None => body.to_owned(),
-    }
-}
-
-/// The terminal document for an admission-time cache hit: the same outer
-/// shape as a proxied worker completion, with the stored `result` bytes
-/// embedded verbatim and `cache.hit` true.
-fn hit_status(id: u64, label: &str, key: CacheKey, cached: &CachedResult) -> String {
-    format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"status\":\"done\",\"kind\":\"{}\",\
-         \"job\":{{\"label\":\"{}\",\"kind\":\"{}\",\"wall_s\":0,\"attempts\":{},\"result\":{}{}}}}}",
-        cached.kind,
-        json_escape(label),
-        cached.kind,
-        cached.attempts,
-        cached.result_json,
-        cache_member_json(key, true),
-    )
-}
-
-/// The raw bytes of the first `"result":{...}` object in a status
-/// document, exactly as serialized — the substring is lifted without a
-/// JSON round-trip so a cached copy stays byte-identical to the
-/// original. Labels cannot spoof the needle: they are JSON-escaped, so
-/// an embedded quote can never form a bare `"result":` inside a string.
-fn result_bytes(body: &str) -> Option<&str> {
-    let at = body.find("\"result\":")? + "\"result\":".len();
-    json_object_at(body, at)
-}
-
-/// Brace-matches one JSON object starting at `start`, skipping braces
-/// inside string literals (escape-aware).
-fn json_object_at(body: &str, start: usize) -> Option<&str> {
-    let bytes = body.as_bytes();
-    if *bytes.get(start)? != b'{' {
-        return None;
-    }
-    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
-    for (i, &b) in bytes.iter().enumerate().skip(start) {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&body[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// The `"attempts":N` count quoted in a done document's job row.
-fn attempts_in(body: &str) -> Option<usize> {
-    let at = body.find("\"attempts\":")? + "\"attempts\":".len();
-    let digits = body[at..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .unwrap_or("");
-    digits.parse().ok()
-}
-
-/// Decodes a worker's `GET /v1/cache` body back into [`CacheStats`].
-fn parse_cache_stats(body: &str) -> Option<CacheStats> {
-    let doc = Json::parse(body).ok()?;
-    let num = |k: &str| doc.get(k).and_then(Json::as_f64);
-    Some(CacheStats {
-        entries: num("entries")? as usize,
-        bytes: num("bytes")? as usize,
-        hits: num("hits")? as u64,
-        misses: num("misses")? as u64,
-        evictions: num("evictions")? as u64,
-    })
-}
-
-/// Renders the shared stats members (no braces) for cache documents.
-fn cache_stats_fields(s: &CacheStats) -> String {
-    format!(
-        "\"entries\":{},\"bytes\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_ratio\":{}",
-        s.entries,
-        s.bytes,
-        s.hits,
-        s.misses,
-        s.evictions,
-        json_f64(s.hit_ratio()),
-    )
-}
-
-fn synthetic_status(id: u64, label: &str, status: &str) -> String {
-    format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"label\":\"{}\",\"status\":\"{status}\"}}",
-        json_escape(label)
-    )
-}
-
-/// The terminal row for a job cancelled while it had no reachable
-/// placement: same outer shape as a worker's own cancelled document,
-/// so pollers terminate and listing reports `kind:"cancelled"`.
-fn synthetic_cancelled(id: u64, label: &str) -> String {
-    format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"status\":\"done\",\"kind\":\"cancelled\",\
-         \"job\":{{\"label\":\"{}\",\"result\":{{\"kind\":\"cancelled\"}}}}}}",
-        json_escape(label)
-    )
-}
-
-/// The terminal row for a job the fleet could not finish: same outer
-/// shape as a real done document, with a `failed` result carrying the
-/// reason — so `wait`-style pollers terminate instead of spinning.
-fn synthetic_failed(id: u64, label: &str, reason: &str) -> String {
-    format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"status\":\"done\",\"kind\":\"failed\",\
-         \"job\":{{\"label\":\"{}\",\"result\":{{\"kind\":\"failed\",\"error\":\"{}\"}}}}}}",
-        json_escape(label),
-        json_escape(reason)
-    )
-}
-
-impl HttpApp for CoordService {
-    fn route(
-        &self,
-        request: &Request,
-        stop: &AtomicBool,
-        metrics: &HttpMetrics,
-        started: Instant,
-    ) -> Result<Response, HttpError> {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => json_ok(self.healthz(started)),
-            ("GET", "/metrics") => Ok(Response::Text {
-                body: self.render_metrics(metrics),
-            }),
-            ("POST", "/v1/jobs") => Ok(admission_response(self.submit_manifest(&request.body))),
-            ("POST", "/v1/decks") => Ok(admission_response(self.submit_deck(&request.body))),
-            ("GET", "/v1/cache") => json_ok(self.cache_stats_doc()),
-            ("DELETE", "/v1/cache") => json_ok(self.cache_flush_doc()),
-            ("GET", "/v1/jobs") => match list_params(request) {
-                Ok((state, cursor, limit)) => json_ok(self.list_json(state, cursor, limit)),
-                Err(e) => Ok(wire_error_response(&e)),
-            },
-            ("POST", "/v1/shutdown") => {
-                stop.store(true, Ordering::SeqCst);
-                json_ok(format!(
-                    "{{\"schema_version\":{SCHEMA_VERSION},\"shutting_down\":true}}"
-                ))
-            }
-            (method, path) if path.starts_with("/v1/jobs/") => {
-                let rest = &path["/v1/jobs/".len()..];
-                if let Some(id) = rest.strip_suffix("/trace") {
-                    if method != "GET" {
-                        return Err(HttpError::MethodNotAllowed);
-                    }
-                    let id: u64 = id
-                        .parse()
-                        .map_err(|_| HttpError::BadRequest(format!("bad job id in {path:?}")))?;
-                    let chrome = request.query_param("format") == Some("chrome");
-                    return self.trace(id, chrome).ok_or(HttpError::NotFound);
-                }
-                let id: u64 = rest
-                    .parse()
-                    .map_err(|_| HttpError::BadRequest(format!("bad job id in {path:?}")))?;
-                match method {
-                    "GET" => self
-                        .status_json(id)
-                        .map_or(Err(HttpError::NotFound), json_ok),
-                    "DELETE" => self.cancel(id).map_or(Err(HttpError::NotFound), json_ok),
-                    _ => Err(HttpError::MethodNotAllowed),
-                }
-            }
-            (
-                _,
-                "/healthz" | "/metrics" | "/v1/jobs" | "/v1/decks" | "/v1/cache" | "/v1/shutdown",
-            ) => Err(HttpError::MethodNotAllowed),
-            _ => Err(HttpError::NotFound),
-        }
-    }
-}
-
-/// The bound-but-not-yet-running coordinator.
-pub struct Coordinator {
-    listener: std::net::TcpListener,
-    service: Arc<CoordService>,
-    config: CoordinatorConfig,
-    stop: Arc<AtomicBool>,
-}
+/// The coordinator role: [`bind`](Coordinator::bind) returns a [`Server`]
+/// whose job service places work on a worker fleet.
+pub struct Coordinator;
 
 impl Coordinator {
     /// Binds the coordinator's listener and builds the fleet view.
@@ -1397,143 +148,808 @@ impl Coordinator {
     pub fn bind(
         config: CoordinatorConfig,
         builder: Arc<dyn JobBuilder>,
-    ) -> std::io::Result<Coordinator> {
+    ) -> std::io::Result<Server> {
         if config.workers.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "a coordinator needs at least one worker address",
             ));
         }
-        fts_telemetry::set_enabled(true);
-        let listener = bind_addr(&config.addr)?;
-        let service = Arc::new(CoordService::new(&config, builder));
-        Ok(Coordinator {
-            listener,
+        let fleet = Fleet {
+            workers: config
+                .workers
+                .iter()
+                .map(|addr| WorkerSlot {
+                    addr: addr.clone(),
+                    client: WireClient::new(addr.clone()).limits(config.client_limits),
+                    up: AtomicBool::new(true),
+                    routed: AtomicU64::new(0),
+                })
+                .collect(),
+            ring: HashRing::new(&config.workers),
+            route_attempts: config.route_attempts.max(1),
+            // Floor the interval: zero would turn the prober into a busy
+            // loop hammering every worker's /healthz.
+            probe_interval: config.probe_interval.max(Duration::from_millis(1)),
+            cascade: config.cascade,
+        };
+        let service = JobService::with_backend(
+            builder,
+            crate::service::Backend::Remote(fleet),
+            1,
+            config.cache_entries,
+        )
+        .cache_bytes(config.cache_bytes)
+        .trace_capacity(0);
+        Server::new(
+            &config.addr,
             service,
-            config,
-            stop: Arc::new(AtomicBool::new(false)),
+            0,
+            config.conn_workers,
+            config.conn_backlog,
+            config.limits,
+        )
+    }
+}
+
+/// Where a remote job runs: a worker index and that worker's own job id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Placement {
+    pub(crate) worker: usize,
+    pub(crate) remote: u64,
+}
+
+/// A document that places jobs on a worker.
+#[derive(Clone)]
+pub(crate) enum Doc {
+    /// A manifest, for `POST /v1/jobs`.
+    Manifest(String),
+    /// A raw deck, for `POST /v1/decks`.
+    Deck(String),
+}
+
+/// One admitted job's placement and the document that places it again
+/// after a worker loss; `None` for a job answered from the cache.
+pub(crate) type Placed = Option<(Placement, Option<Doc>)>;
+
+/// How one admission's jobs reach the fleet.
+pub(crate) enum Source<'a> {
+    /// Manifest jobs, each forwarded alone as a single-job manifest.
+    Manifest(&'a BatchManifest),
+    /// A deck's analyses, forwarded together as the raw deck: they share
+    /// one elaborated netlist, so a deck is never split.
+    Deck(&'a str),
+}
+
+/// One worker as the coordinator sees it: its client, health flag, and
+/// route counter.
+struct WorkerSlot {
+    addr: String,
+    client: WireClient,
+    /// Flipped by the prober and by routing-time transport failures;
+    /// optimistically `true` at startup so the first submissions do not
+    /// wait a probe period.
+    up: AtomicBool,
+    /// Jobs ever placed on this worker.
+    routed: AtomicU64,
+}
+
+/// The worker fleet behind a remote [`JobService`].
+pub(crate) struct Fleet {
+    workers: Vec<WorkerSlot>,
+    ring: HashRing,
+    route_attempts: usize,
+    probe_interval: Duration,
+    cascade: bool,
+}
+
+impl Fleet {
+    /// Worker `w`'s address.
+    pub(crate) fn addr(&self, w: usize) -> &str {
+        &self.workers[w].addr
+    }
+
+    /// `(total, up)` worker counts.
+    pub(crate) fn health(&self) -> (usize, usize) {
+        let up = self
+            .workers
+            .iter()
+            .filter(|w| w.up.load(Ordering::SeqCst))
+            .count();
+        (self.workers.len(), up)
+    }
+
+    /// Ring candidates for `id`, live workers first (ring order within
+    /// each group) — down workers stay as a last resort because the
+    /// prober's view can lag a recovery.
+    fn placement_order(&self, id: u64) -> Vec<usize> {
+        let candidates = self.ring.candidates(HashRing::key_for_id(id));
+        let (live, down): (Vec<usize>, Vec<usize>) = candidates
+            .into_iter()
+            .partition(|&w| self.workers[w].up.load(Ordering::SeqCst));
+        live.into_iter().chain(down).collect()
+    }
+
+    /// Posts `doc` to the first worker in `placement_order(id)` (skipping
+    /// `exclude`) that admits exactly `jobs` jobs from it, returning the
+    /// worker and their remote ids. Transport failures mark the worker
+    /// down; a worker's own refusals (`429`/`503`) move on to the next
+    /// candidate; a worker that admits an unexpected number of jobs has
+    /// them recalled, so no orphaned duplicates keep running.
+    fn place(
+        &self,
+        id: u64,
+        doc: &Doc,
+        jobs: usize,
+        exclude: Option<usize>,
+    ) -> Option<(usize, Vec<u64>)> {
+        for w in self.placement_order(id) {
+            if exclude == Some(w) {
+                continue;
+            }
+            let slot = &self.workers[w];
+            let posted = match doc {
+                Doc::Manifest(manifest) => slot.client.submit_manifest(manifest),
+                Doc::Deck(deck) => slot.client.submit_deck(deck),
+            };
+            match posted {
+                Ok(remotes) if remotes.len() == jobs => {
+                    slot.routed.fetch_add(jobs as u64, Ordering::Relaxed);
+                    fts_telemetry::counter("coordinator.jobs.routed", jobs as u64);
+                    return Some((w, remotes));
+                }
+                Ok(remotes) => {
+                    for remote in remotes {
+                        let _ = slot.client.cancel(remote);
+                    }
+                }
+                Err(ClientError::Api(_)) => {}
+                Err(_) => self.mark_down(w),
+            }
+        }
+        None
+    }
+
+    /// Places the misses of one admission whose ids start at `base`,
+    /// before anything is registered. Returns, per job, its placement and
+    /// the document that re-places it after a worker loss (`None` for a
+    /// multi-analysis deck, which cannot be re-posted one job at a time),
+    /// or `None` when some miss found no worker — after recalling the
+    /// placements already made.
+    pub(crate) fn place_admission(
+        &self,
+        base: u64,
+        missed: &[bool],
+        source: &Source<'_>,
+    ) -> Option<Vec<Placed>> {
+        let mut placed = vec![None; missed.len()];
+        match source {
+            Source::Manifest(manifest) => {
+                for (k, spec) in manifest.jobs.iter().enumerate() {
+                    if !missed[k] {
+                        continue;
+                    }
+                    // Pin the label: the worker would otherwise re-default
+                    // it from its own (index 0) view. The key is
+                    // label-independent, so the worker's key still equals
+                    // the one computed here.
+                    let mut spec = spec.clone();
+                    spec.label = Some(spec.label_or_default(k));
+                    let doc = Doc::Manifest(single_job_manifest(&spec, manifest.ensemble_width));
+                    let Some((worker, remotes)) = self.place(base + k as u64, &doc, 1, None) else {
+                        self.recall_all(&placed);
+                        return None;
+                    };
+                    let at = Placement {
+                        worker,
+                        remote: remotes[0],
+                    };
+                    placed[k] = Some((at, Some(doc)));
+                }
+            }
+            Source::Deck(deck) if missed.contains(&true) => {
+                let doc = Doc::Deck((*deck).to_owned());
+                let (worker, remotes) = self.place(base, &doc, missed.len(), None)?;
+                let resubmit = (missed.len() == 1).then_some(doc);
+                for (k, remote) in remotes.into_iter().enumerate() {
+                    let at = Placement { worker, remote };
+                    if missed[k] {
+                        placed[k] = Some((at, resubmit.clone()));
+                    } else {
+                        // Answered from the cache: the worker's twin is
+                        // not needed.
+                        self.recall(at);
+                    }
+                }
+            }
+            Source::Deck(_) => {}
+        }
+        Some(placed)
+    }
+
+    /// Best-effort cancel of a placement the coordinator no longer needs.
+    fn recall(&self, at: Placement) {
+        let _ = self.workers[at.worker].client.cancel(at.remote);
+    }
+
+    /// Recalls every placement of an admission that is being rejected.
+    pub(crate) fn recall_all(&self, placed: &[Placed]) {
+        for (at, _) in placed.iter().flatten() {
+            self.recall(*at);
+        }
+    }
+
+    fn mark_down(&self, w: usize) {
+        if self.workers[w].up.swap(false, Ordering::SeqCst) {
+            fts_telemetry::counter("coordinator.workers.marked_down", 1);
+        }
+    }
+
+    /// Fetches `at`'s status document and reads it as a [`Reply`].
+    fn fetch(&self, at: Placement) -> Reply {
+        match self.workers[at.worker].client.status(at.remote) {
+            Ok(body) => Reply::parse(&body),
+            Err(ClientError::Api(e)) if e.status == 404 => Reply::Lost,
+            Err(ClientError::Api(_)) => Reply::Busy,
+            Err(_) => {
+                self.mark_down(at.worker);
+                Reply::Lost
+            }
+        }
+    }
+
+    /// Forwards a cancel to `at`; the worker's `was` on success, `None`
+    /// when the worker never heard it.
+    fn forward_cancel(&self, at: Placement) -> Option<&'static str> {
+        match self.workers[at.worker].client.cancel(at.remote) {
+            Ok(body) => {
+                let doc = Json::parse(&body).ok();
+                Some(match doc.as_ref().and_then(|d| d.get("was")?.as_str()) {
+                    Some("queued") => "queued",
+                    Some("running") => "running",
+                    Some("done") => "done",
+                    _ => "routed",
+                })
+            }
+            Err(e) => {
+                if !matches!(e, ClientError::Api(_)) {
+                    self.mark_down(at.worker);
+                }
+                None
+            }
+        }
+    }
+
+    /// Proxies `GET /v1/jobs/{id}/trace` to `at`, with the journal's
+    /// `id` member replaced by the global id.
+    fn trace(&self, at: Placement, id: u64, chrome: bool) -> TraceLookup {
+        match self.workers[at.worker].client.trace(at.remote, chrome) {
+            Ok(body) => TraceLookup::Journal(match member_span(&body, "id") {
+                Some(span) => format!("{}{id}{}", &body[..span.start], &body[span.end..]),
+                None => body,
+            }),
+            Err(ClientError::Api(e)) if e.code == "trace_disabled" => TraceLookup::Disabled,
+            Err(_) => TraceLookup::Unknown,
+        }
+    }
+
+    /// Runs the health prober until `stop`: `/healthz` every worker each
+    /// probe period and flip the up flags.
+    pub(crate) fn probe_until(&self, stop: &AtomicBool) {
+        while !stop.load(Ordering::SeqCst) && !crate::signal::sigint_received() {
+            for w in &self.workers {
+                let alive = w.client.healthz().is_ok();
+                if w.up.swap(alive, Ordering::SeqCst) != alive {
+                    fts_telemetry::counter(
+                        if alive {
+                            "coordinator.workers.recovered"
+                        } else {
+                            "coordinator.workers.marked_down"
+                        },
+                        1,
+                    );
+                }
+            }
+            let mut slept = Duration::ZERO;
+            while slept < self.probe_interval && !stop.load(Ordering::SeqCst) {
+                let step = Duration::from_millis(10).min(self.probe_interval - slept);
+                std::thread::sleep(step);
+                slept += step;
+            }
+        }
+    }
+
+    /// `GET /v1/cache` on a coordinator: fleet-wide aggregate stats at
+    /// the top level (`own` plus every reachable worker), with the
+    /// coordinator's own counters and a per-worker breakdown alongside.
+    pub(crate) fn cache_stats_json(&self, own: CacheStats) -> String {
+        let mut agg = own;
+        let mut rows = Vec::with_capacity(self.workers.len());
+        for w in &self.workers {
+            let stats = w.client.cache_stats().ok().and_then(|body| {
+                let doc = Json::parse(&body).ok()?;
+                let num = |k: &str| doc.get(k).and_then(Json::as_f64);
+                Some(CacheStats {
+                    entries: num("entries")? as usize,
+                    bytes: num("bytes")? as usize,
+                    hits: num("hits")? as u64,
+                    misses: num("misses")? as u64,
+                    evictions: num("evictions")? as u64,
+                })
+            });
+            let addr = json_escape(&w.addr);
+            rows.push(match stats {
+                Some(s) => {
+                    agg.entries += s.entries;
+                    agg.bytes += s.bytes;
+                    agg.hits += s.hits;
+                    agg.misses += s.misses;
+                    agg.evictions += s.evictions;
+                    format!("{{\"worker\":\"{addr}\",{}}}", cache_stats_fields(&s))
+                }
+                None => format!("{{\"worker\":\"{addr}\",\"unreachable\":true}}"),
+            });
+        }
+        format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},{},\"coordinator\":{{{}}},\"workers\":[{}]}}",
+            cache_stats_fields(&agg),
+            cache_stats_fields(&own),
+            rows.join(","),
+        )
+    }
+
+    /// Fans `DELETE /v1/cache` out to every worker (best effort — an
+    /// unreachable worker flushes on its next restart anyway); returns
+    /// how many flushed.
+    pub(crate) fn flush_caches(&self) -> usize {
+        self.workers
+            .iter()
+            .filter(|w| w.client.cache_flush().is_ok())
+            .count()
+    }
+
+    /// The fleet's `/metrics` series: size, and per worker its up flag
+    /// and placement count.
+    pub(crate) fn render_metrics(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = writeln!(out, "fts_coordinator_workers {}", self.workers.len());
+        for w in &self.workers {
+            let addr = prom_escape(&w.addr);
+            let up = u8::from(w.up.load(Ordering::SeqCst));
+            let _ = writeln!(out, "fts_coordinator_worker_up{{worker=\"{addr}\"}} {up}");
+            let _ = writeln!(
+                out,
+                "fts_coordinator_worker_routed_total{{worker=\"{addr}\"}} {}",
+                w.routed.load(Ordering::Relaxed)
+            );
+        }
+    }
+}
+
+/// What happened to a remote job — the input of [`transition`].
+#[derive(Debug)]
+pub(crate) enum Event {
+    /// A client (or the drain loop) asked for the job's status.
+    Poll,
+    /// The worker at `at` answered a status fetch.
+    Fetched { at: Placement, reply: Reply },
+    /// A placement attempt ended: where the job landed, if anywhere.
+    Placed(Option<Placement>),
+    /// A client asked to cancel; the answer acknowledges it.
+    Cancel,
+    /// The cancel forwarded to `at` never reached the worker.
+    CancelUnheard { at: Placement },
+}
+
+/// A worker's answer to a status fetch.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// Still queued or running there (the worker's own status word).
+    Pending(&'static str),
+    /// Finished: the worker's `job` row verbatim, its kind, and the
+    /// row's `cache.key`.
+    Done {
+        kind: String,
+        row: String,
+        key: String,
+    },
+    /// The placement is gone: a `404` (restart or eviction) or a dead
+    /// transport.
+    Lost,
+    /// Any other answer; ask again later.
+    Busy,
+}
+
+impl Reply {
+    /// Reads a worker's `GET /v1/jobs/{id}` document. The done row is
+    /// lifted as a byte span, never re-rendered.
+    fn parse(body: &str) -> Reply {
+        let Ok(doc) = Json::parse(body) else {
+            return Reply::Busy;
+        };
+        match doc.get("status").and_then(Json::as_str) {
+            Some("queued") => Reply::Pending("queued"),
+            Some("running") => Reply::Pending("running"),
+            Some("done") => {
+                let (Some(kind), Some(span)) = (
+                    doc.get("kind").and_then(Json::as_str),
+                    member_span(body, "job"),
+                ) else {
+                    return Reply::Busy;
+                };
+                let key = doc
+                    .get("job")
+                    .and_then(|j| j.get("cache")?.get("key")?.as_str());
+                Reply::Done {
+                    kind: kind.to_owned(),
+                    row: body[span].to_owned(),
+                    key: key.unwrap_or_default().to_owned(),
+                }
+            }
+            _ => Reply::Busy,
+        }
+    }
+}
+
+/// The network step [`transition`] asks for, taken with the registry
+/// unlocked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Action {
+    /// Nothing: answer from the registry.
+    None,
+    /// Fetch the job's status from `at`.
+    Fetch(Placement),
+    /// Place the job's resubmission on a worker other than `exclude`.
+    Place { exclude: Option<usize> },
+    /// Forward the client's cancel to `at`.
+    ForwardCancel(Placement),
+    /// Cancel a placement that lost a race to the job's terminal state.
+    Recall(Placement),
+}
+
+/// The remote lifecycle: applies `event` to `job` and names the network
+/// step to take next. Pure — no I/O, no clock, no lock — so the model
+/// test can drive it through thousands of seeded schedules.
+pub(crate) fn transition(job: &mut JobEntry, event: Event, route_attempts: usize) -> Action {
+    use JobState::{Done, Rerouting, Routed, Stranded};
+    // Done is absorbing; a placement that lands after it is recalled.
+    if job.state.is_done() {
+        return match event {
+            Event::Placed(Some(at)) => Action::Recall(at),
+            _ => Action::None,
+        };
+    }
+    match (job.state.clone(), event) {
+        (Routed { at, .. }, Event::Poll) => Action::Fetch(at),
+        (Stranded { attempts }, Event::Poll) => reroute(job, attempts, None, route_attempts),
+        (Routed { at, attempts }, Event::Fetched { at: from, reply }) if at == from => {
+            match reply {
+                Reply::Pending(_) | Reply::Busy => Action::None,
+                Reply::Done { kind, row, key } if key == job.key.to_string() => {
+                    job.state = Done {
+                        kind,
+                        row,
+                        at: Some(at),
+                    };
+                    Action::None
+                }
+                // Lost, or another job's row under a reissued remote id.
+                Reply::Done { .. } | Reply::Lost => {
+                    reroute(job, attempts, Some(at.worker), route_attempts)
+                }
+            }
+        }
+        (Rerouting { attempts }, Event::Placed(placed)) => {
+            job.state = match placed {
+                Some(at) => Routed {
+                    at,
+                    attempts: attempts + 1,
+                },
+                None => Stranded {
+                    attempts: attempts + 1,
+                },
+            };
+            Action::None
+        }
+        (Routed { at, .. }, Event::Cancel) => {
+            job.cancel.cancel();
+            Action::ForwardCancel(at)
+        }
+        // A cancel with no reachable placement to forward it to, or one
+        // the owning worker never heard, is recorded here.
+        (Stranded { .. } | Rerouting { .. }, Event::Cancel | Event::CancelUnheard { .. }) => {
+            job.cancel.cancel();
+            close(job, None)
+        }
+        (Routed { at, .. }, Event::CancelUnheard { at: to }) if at == to => close(job, None),
+        // The job moved while the cancel was in flight: it binds there.
+        (Routed { at, .. }, Event::CancelUnheard { .. }) => Action::ForwardCancel(at),
+        // Only the claiming thread commits a placement; recall any other.
+        (_, Event::Placed(Some(at))) => Action::Recall(at),
+        // Stale fetch answers, polls mid-placement, and local states.
+        _ => Action::None,
+    }
+}
+
+/// The job lost its placement (or never got one): claim it for
+/// re-placement, or close it when it must not run again.
+fn reroute(
+    job: &mut JobEntry,
+    attempts: usize,
+    exclude: Option<usize>,
+    route_attempts: usize,
+) -> Action {
+    if job.cancel.cancel_requested() {
+        return close(job, None);
+    }
+    if attempts >= route_attempts {
+        let why = format!("worker unavailable after {attempts} route attempts");
+        return close(job, Some(&why));
+    }
+    if job.resubmit.is_none() {
+        return close(
+            job,
+            Some(
+                "a worker was lost holding a multi-analysis deck job, which cannot be \
+                 re-routed standalone",
+            ),
+        );
+    }
+    job.state = JobState::Rerouting { attempts };
+    Action::Place { exclude }
+}
+
+/// Closes `job` with a synthetic row — `cancelled`, or `failed` with
+/// `error` — shaped like a worker's done row, so pollers terminate and
+/// listing reports the kind.
+fn close(job: &mut JobEntry, error: Option<&str>) -> Action {
+    let label = json_escape(&job.label);
+    let (kind, result) = match error {
+        None => ("cancelled", "{\"kind\":\"cancelled\"}".to_owned()),
+        Some(e) => (
+            "failed",
+            format!("{{\"kind\":\"failed\",\"error\":\"{}\"}}", json_escape(e)),
+        ),
+    };
+    job.state = JobState::Done {
+        kind: kind.to_owned(),
+        row: format!("{{\"label\":\"{label}\",\"result\":{result}}}"),
+        at: None,
+    };
+    Action::None
+}
+
+/// What the driving thread learned while carrying out a job's actions.
+#[derive(Clone, Copy)]
+struct Heard {
+    /// `done` or `routed`: the job's state before the event.
+    before: &'static str,
+    /// The owning worker's word: its status for a fetch (`queued` after
+    /// a fresh placement), or the `was` of a cancel it acknowledged.
+    said: Option<&'static str>,
+}
+
+impl JobService {
+    /// Feeds `event` to job `id`'s lifecycle and carries out each action
+    /// it names, with the registry unlocked, until none is left; then
+    /// answers through `answer` under the lock. `None` when the job is
+    /// unknown or was evicted meanwhile.
+    fn drive<T>(
+        &self,
+        fleet: &Fleet,
+        id: u64,
+        mut event: Event,
+        answer: impl Fn(&JobEntry, Heard) -> T,
+    ) -> Option<T> {
+        let mut heard = Heard {
+            before: "routed",
+            said: None,
+        };
+        loop {
+            let (action, resubmit) = {
+                let mut reg = self.lock();
+                let entry = reg.jobs.get_mut(&id)?;
+                let was_done = entry.state.is_done();
+                if matches!(event, Event::Poll | Event::Cancel) {
+                    heard.before = if was_done { "done" } else { "routed" };
+                }
+                let action = transition(entry, event, fleet.route_attempts);
+                let newly_done = !was_done && entry.state.is_done();
+                if newly_done {
+                    self.book_done(entry);
+                }
+                let resubmit = match action {
+                    Action::Place { .. } => entry.resubmit.clone(),
+                    _ => None,
+                };
+                let out = (action == Action::None).then(|| answer(entry, heard));
+                if newly_done {
+                    reg.retire(id);
+                }
+                match out {
+                    Some(out) => return Some(out),
+                    None => (action, resubmit),
+                }
+            };
+            let next = match action {
+                Action::Fetch(at) => {
+                    let reply = fleet.fetch(at);
+                    if let Reply::Pending(status) = reply {
+                        heard.said = Some(status);
+                    }
+                    Some(Event::Fetched { at, reply })
+                }
+                Action::Place { exclude } => {
+                    let doc = resubmit.expect("only resubmittable jobs are placed again");
+                    let placed = fleet.place(id, &doc, 1, exclude).map(|(worker, remotes)| {
+                        fts_telemetry::counter("coordinator.jobs.rerouted", 1);
+                        heard.said = Some("queued");
+                        Placement {
+                            worker,
+                            remote: remotes[0],
+                        }
+                    });
+                    Some(Event::Placed(placed))
+                }
+                Action::ForwardCancel(at) => match fleet.forward_cancel(at) {
+                    Some(was) => {
+                        heard.said = Some(was);
+                        None
+                    }
+                    None => Some(Event::CancelUnheard { at }),
+                },
+                Action::Recall(at) => {
+                    fleet.recall(at);
+                    None
+                }
+                Action::None => unreachable!("answered above"),
+            };
+            match next {
+                Some(next) => event = next,
+                None => return self.lock().jobs.get(&id).map(|e| answer(e, heard)),
+            }
+        }
+    }
+
+    /// Books a job the lifecycle just closed: a worker's row fills the
+    /// result cache (successes only, byte span of its `result`), and the
+    /// telemetry counter names how the job ended.
+    fn book_done(&self, entry: &JobEntry) {
+        let JobState::Done { kind, row, at } = &entry.state else {
+            return;
+        };
+        let name = match (at, kind.as_str()) {
+            (Some(_), _) => "coordinator.jobs.completed",
+            (None, "cancelled") => "coordinator.jobs.cancelled_closed",
+            (None, _) => "coordinator.jobs.failed_closed",
+        };
+        fts_telemetry::counter(name, 1);
+        let cacheable = match kind.as_str() {
+            "op" => "op",
+            "sweep" => "sweep",
+            "transient" => "transient",
+            "ac" => "ac",
+            _ => return,
+        };
+        if at.is_some() && entry.mode.writes() {
+            let span = |member| member_span(row, member).map(|span| &row[span]);
+            if let Some(result) = span("result") {
+                let attempts = span("attempts").and_then(|a| a.parse().ok());
+                self.cache.insert(
+                    entry.key,
+                    cacheable,
+                    result.to_owned(),
+                    attempts.unwrap_or(1),
+                );
+            }
+        }
+    }
+
+    /// `GET /v1/jobs/{id}` on a coordinator: the stored row, or a live
+    /// fetch from the owning worker — re-placing the job when the worker
+    /// lost it.
+    pub(crate) fn remote_status(&self, fleet: &Fleet, id: u64) -> Option<String> {
+        self.drive(fleet, id, Event::Poll, |entry, heard| {
+            entry.status_json(id, heard.said)
         })
     }
 
-    /// The bound address (useful after binding port 0).
-    ///
-    /// # Errors
-    ///
-    /// Socket errors querying the listener.
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+    /// `DELETE /v1/jobs/{id}` on a coordinator: forwarded to the owning
+    /// worker; binding even when no worker hears it.
+    pub(crate) fn remote_cancel(&self, fleet: &Fleet, id: u64) -> Option<&'static str> {
+        self.drive(fleet, id, Event::Cancel, |_, heard| {
+            heard.said.unwrap_or(heard.before)
+        })
     }
 
-    /// A handle that can request shutdown from another thread.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle::new(Arc::clone(&self.stop))
+    /// `GET /v1/jobs/{id}/trace` on a coordinator: proxied to wherever the
+    /// job runs (or last ran). Jobs that never ran anywhere reachable —
+    /// cache hits, synthetic close-outs, jobs between placements — have
+    /// no trace.
+    pub(crate) fn remote_trace(&self, fleet: &Fleet, id: u64, chrome: bool) -> TraceLookup {
+        let at = match self.lock().jobs.get(&id).map(|e| &e.state) {
+            Some(JobState::Routed { at, .. } | JobState::Done { at: Some(at), .. }) => *at,
+            _ => return TraceLookup::Unknown,
+        };
+        fleet.trace(at, id, chrome)
     }
 
-    /// Runs the coordinator until shutdown, then drains (and cascades to
-    /// the fleet when configured) and returns the final report.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors configuring the listener; per-connection accept
-    /// errors are absorbed.
-    pub fn run(self) -> std::io::Result<ShutdownReport> {
-        let start = Instant::now();
-        signal::install_sigint();
-        self.listener.set_nonblocking(true)?;
-
-        let rejected_conns = AtomicU64::new(0);
-        let http_metrics = HttpMetrics::default();
-        let conn_queue = new_conn_queue();
-
-        let report = std::thread::scope(|scope| {
-            // Health prober: wakes every probe_interval until shutdown.
-            {
-                let service = Arc::clone(&self.service);
-                let stop = Arc::clone(&self.stop);
-                // Floor the interval: zero would turn the prober into a
-                // busy loop hammering every worker's /healthz.
-                let interval = self.config.probe_interval.max(Duration::from_millis(1));
-                scope.spawn(move || {
-                    while !stop.load(Ordering::SeqCst) && !signal::sigint_received() {
-                        service.probe();
-                        let mut slept = Duration::ZERO;
-                        while slept < interval && !stop.load(Ordering::SeqCst) {
-                            let step = Duration::from_millis(10).min(interval - slept);
-                            std::thread::sleep(step);
-                            slept += step;
-                        }
-                    }
-                });
+    /// Polls every open job to completion (re-placing around dead
+    /// workers as usual), then cascades the shutdown to the fleet when
+    /// configured. Terminates because every poll of an unreachable job
+    /// burns one of its bounded route attempts.
+    pub(crate) fn remote_drain(&self, fleet: &Fleet) {
+        loop {
+            let mut open: Vec<u64> = self
+                .lock()
+                .jobs
+                .iter()
+                .filter(|(_, e)| !e.state.is_done())
+                .map(|(&id, _)| id)
+                .collect();
+            if open.is_empty() {
+                break;
             }
-            spawn_conn_workers(
-                scope,
-                self.config.conn_workers,
-                &conn_queue,
-                self.service.as_ref(),
-                &self.stop,
-                &self.config.limits,
-                &http_metrics,
-                start,
-            );
-
-            accept_loop(
-                &self.listener,
-                &self.stop,
-                &conn_queue,
-                self.config.conn_backlog,
-                &self.config.limits,
-                &rejected_conns,
-            );
-
-            // Drain ordering: close the conn queue (queued connections
-            // still get answers), flip stop (prober exits), empty the
-            // coordinator, then cascade to the fleet.
-            close_conn_queue(&conn_queue);
-            self.stop.store(true, Ordering::SeqCst);
-            self.service.drain(self.config.cascade);
-
-            let g = self.service.gauges();
-            ShutdownReport {
-                jobs_completed: g.completed,
-                submissions_rejected: g.rejected,
-                connections_rejected: rejected_conns.load(Ordering::Relaxed),
-                uptime_s: start.elapsed().as_secs_f64(),
-                telemetry: fts_telemetry::snapshot().render_tree(),
+            open.sort_unstable();
+            for id in open {
+                let _ = self.remote_status(fleet, id);
             }
-        });
-        Ok(report)
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        if fleet.cascade {
+            for w in &fleet.workers {
+                let _ = w.client.shutdown();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fts_engine::{CacheKey, CacheMode};
+    use fts_spice::netlist::Netlist;
+    use fts_spice::CancelToken;
 
-    #[test]
-    fn rewrite_id_touches_only_the_first_document_id() {
-        let body = "{\"schema_version\":1,\"id\":3,\"status\":\"done\",\"kind\":\"op\",\
-                    \"job\":{\"label\":\"x\",\"result\":{\"out_v\":1.0,\"id_like\":\"\\\"id\\\":3\"}}}";
-        let out = rewrite_id(body, 3, 41);
-        assert!(out.starts_with("{\"schema_version\":1,\"id\":41,"), "{out}");
-        // The embedded result bytes are untouched.
-        assert!(out.contains("\"result\":{\"out_v\":1.0,"), "{out}");
-        // A body without the remote id passes through unchanged.
-        assert_eq!(rewrite_id("{\"x\":1}", 3, 41), "{\"x\":1}");
+    fn entry(label: &str, key: CacheKey, resubmit: Option<Doc>, state: JobState) -> JobEntry {
+        JobEntry {
+            label: label.to_owned(),
+            key,
+            mode: CacheMode::Default,
+            job: None,
+            out: Netlist::GROUND,
+            waveform: false,
+            cancel: CancelToken::new(),
+            trace: None,
+            resubmit,
+            state,
+        }
     }
 
     #[test]
     fn synthetic_failed_is_a_terminal_done_document() {
-        let body = synthetic_failed(7, "lat\"tice", "worker gone");
+        let doc = Some(Doc::Manifest(String::new()));
+        let mut job = entry(
+            "lat\"tice",
+            CacheKey(1),
+            doc,
+            JobState::Stranded { attempts: 3 },
+        );
+        assert_eq!(transition(&mut job, Event::Poll, 3), Action::None);
+        let body = job.status_json(7, None);
         let doc = Json::parse(&body).expect("synthetic row parses");
+        assert_eq!(doc.get("id").and_then(Json::as_f64), Some(7.0));
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("failed"));
-        let result = doc.get("job").and_then(|j| j.get("result")).unwrap();
+        let row = doc.get("job").unwrap();
+        assert_eq!(row.get("label").and_then(Json::as_str), Some("lat\"tice"));
+        let result = row.get("result").unwrap();
         assert_eq!(result.get("kind").and_then(Json::as_str), Some("failed"));
         assert!(result
             .get("error")
             .and_then(Json::as_str)
             .unwrap()
-            .contains("worker gone"));
+            .contains("3 route attempts"));
     }
 
     #[test]
@@ -1544,8 +960,12 @@ mod tests {
                 &self,
                 _spec: &crate::wire::JobSpec,
                 index: usize,
-            ) -> Result<crate::service::BuiltJob, WireError> {
-                Err(WireError::job("unknown_function", index, "never"))
+            ) -> Result<crate::service::BuiltJob, crate::wire::WireError> {
+                Err(crate::wire::WireError::job(
+                    "unknown_function",
+                    index,
+                    "never",
+                ))
             }
         }
         let cfg = CoordinatorConfig {
@@ -1556,5 +976,341 @@ mod tests {
             panic!("bind must refuse an empty worker list");
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    /// splitmix64: the schedule generator, seeded per schedule.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn one_in(&mut self, n: u64) -> bool {
+            self.next().is_multiple_of(n)
+        }
+    }
+
+    const ROUTE_ATTEMPTS: usize = 4;
+
+    /// A job on a fake worker: the model job it runs and how it ended.
+    struct FakeJob {
+        owner: usize,
+        done: bool,
+        cancelled: bool,
+    }
+
+    /// A fake worker. Remote ids index `jobs`, so a restart, which
+    /// forgets every job, reissues ids from 0 — to other jobs.
+    struct FakeWorker {
+        up: bool,
+        jobs: Vec<FakeJob>,
+    }
+
+    fn key_of(j: usize) -> CacheKey {
+        CacheKey(1000 + j as u128)
+    }
+
+    /// The row a fake worker serves for model job `j`.
+    fn row_of(j: usize) -> String {
+        format!("{{\"ran\":{j}}}")
+    }
+
+    /// A socket-free model of the remote lifecycle: jobs driven only
+    /// through [`transition`], against a fake fleet whose workers finish
+    /// jobs, restart, die, and refuse, with every network step free to
+    /// interleave with any other event.
+    struct Model {
+        seed: u64,
+        rng: Rng,
+        workers: Vec<FakeWorker>,
+        jobs: Vec<JobEntry>,
+        /// Oracle: the placement each job's latest successful placement
+        /// returned, with a serial number — a restarted worker can hand
+        /// out the same (worker, remote) pair again.
+        granted: Vec<Option<(Placement, u64)>>,
+        serials: u64,
+        /// Oracle: serials of the placements a fetch reported gone (or
+        /// holding another job's row).
+        lost: Vec<Vec<u64>>,
+        /// A client was told its cancel of the job was acknowledged.
+        acked: Vec<bool>,
+        /// Network steps in flight: job, action, and the serial of the
+        /// placement a fetch targets.
+        in_flight: Vec<(usize, Action, Option<u64>)>,
+        /// Workers may refuse placements and answer fetches `Busy`.
+        flaky: bool,
+        trail: Vec<String>,
+    }
+
+    impl Model {
+        fn new(seed: u64) -> Model {
+            let mut rng = Rng(seed);
+            let workers = 1 + rng.below(2);
+            let jobs = 2 + rng.below(3);
+            let mut m = Model {
+                seed,
+                rng,
+                workers: (0..workers)
+                    .map(|_| FakeWorker {
+                        up: true,
+                        jobs: Vec::new(),
+                    })
+                    .collect(),
+                jobs: Vec::new(),
+                granted: vec![None; jobs],
+                serials: 0,
+                lost: vec![Vec::new(); jobs],
+                acked: vec![false; jobs],
+                in_flight: Vec::new(),
+                flaky: false,
+                trail: Vec::new(),
+            };
+            for j in 0..jobs {
+                // One job in five is a multi-analysis deck job: it
+                // cannot be placed again.
+                let resubmit = (!m.rng.one_in(5)).then(|| Doc::Manifest(String::new()));
+                let at = m.place(j, None).expect("admission finds the fleet up");
+                let state = JobState::Routed { at, attempts: 1 };
+                m.jobs
+                    .push(entry(&format!("j{j}"), key_of(j), resubmit, state));
+            }
+            m.flaky = true;
+            m
+        }
+
+        fn fail(&self, what: &str) -> ! {
+            panic!(
+                "seed {}: {what}\n{}",
+                self.seed,
+                self.trail[self.trail.len().saturating_sub(40)..].join("\n")
+            );
+        }
+
+        fn place(&mut self, j: usize, exclude: Option<usize>) -> Option<Placement> {
+            let n = self.workers.len();
+            for k in 0..n {
+                let w = (j + k) % n;
+                if exclude == Some(w) || !self.workers[w].up {
+                    continue;
+                }
+                if self.flaky && self.rng.one_in(8) {
+                    continue; // the worker's own 429/503
+                }
+                let remote = self.workers[w].jobs.len() as u64;
+                self.workers[w].jobs.push(FakeJob {
+                    owner: j,
+                    done: false,
+                    cancelled: false,
+                });
+                let at = Placement { worker: w, remote };
+                self.serials += 1;
+                self.granted[j] = Some((at, self.serials));
+                return Some(at);
+            }
+            None
+        }
+
+        fn fake_job(&mut self, at: Placement) -> Option<&mut FakeJob> {
+            let worker = &mut self.workers[at.worker];
+            if !worker.up {
+                return None;
+            }
+            worker.jobs.get_mut(at.remote as usize)
+        }
+
+        /// Carries out one network step against the fake fleet and
+        /// returns the event it produces, if any.
+        fn perform(&mut self, j: usize, action: Action) -> Option<Event> {
+            match action {
+                Action::Fetch(at) => {
+                    let busy = self.flaky && self.rng.one_in(10);
+                    let reply = match self.fake_job(at) {
+                        _ if busy => Reply::Busy,
+                        None => Reply::Lost,
+                        Some(fj) if !fj.done => Reply::Pending("running"),
+                        Some(fj) => Reply::Done {
+                            kind: if fj.cancelled { "cancelled" } else { "op" }.to_owned(),
+                            row: row_of(fj.owner),
+                            key: key_of(fj.owner).to_string(),
+                        },
+                    };
+                    Some(Event::Fetched { at, reply })
+                }
+                Action::Place { exclude } => Some(Event::Placed(self.place(j, exclude))),
+                Action::ForwardCancel(at) => match self.fake_job(at) {
+                    Some(fj) => {
+                        fj.cancelled = true;
+                        None
+                    }
+                    None => Some(Event::CancelUnheard { at }),
+                },
+                Action::Recall(at) => {
+                    if let Some(fj) = self.fake_job(at) {
+                        fj.cancelled = true;
+                    }
+                    None
+                }
+                Action::None => None,
+            }
+        }
+
+        /// Feeds `event` to job `j` and checks the invariants.
+        fn apply(&mut self, j: usize, event: Event) {
+            let seen = format!("job {j} ← {event:?}");
+            let before = self.jobs[j].state.clone();
+            let action = transition(&mut self.jobs[j], event, ROUTE_ATTEMPTS);
+            self.trail
+                .push(format!("{seen} → {action:?}, {:?}", self.jobs[j].state));
+
+            let state = &self.jobs[j].state;
+            if before.is_done() && *state != before {
+                self.fail("done is not absorbing");
+            }
+            if self.acked[j] && matches!(action, Action::Place { .. }) {
+                self.fail("a placement after an acknowledged cancel");
+            }
+            if let JobState::Routed { at, .. } = state {
+                match self.granted[j] {
+                    Some((held, serial)) if held == *at && !self.lost[j].contains(&serial) => {}
+                    _ => self.fail("routed on a remote id the job does not hold"),
+                }
+            }
+            if let JobState::Done {
+                row, at: Some(_), ..
+            } = state
+            {
+                if !before.is_done() && *row != row_of(j) {
+                    self.fail("accepted a done row under another job's key");
+                }
+            }
+            if action != Action::None {
+                let serial = match (action, self.granted[j]) {
+                    (Action::Fetch(at), Some((held, serial))) if held == at => Some(serial),
+                    _ => None,
+                };
+                self.in_flight.push((j, action, serial));
+            }
+        }
+
+        fn settle_one(&mut self, k: usize) {
+            let (j, action, serial) = self.in_flight.swap_remove(k);
+            let Some(event) = self.perform(j, action) else {
+                return;
+            };
+            if let (Event::Fetched { reply, .. }, Some(serial)) = (&event, serial) {
+                let foreign =
+                    matches!(reply, Reply::Done { key, .. } if *key != key_of(j).to_string());
+                if foreign || matches!(reply, Reply::Lost) {
+                    self.lost[j].push(serial);
+                }
+            }
+            self.apply(j, event);
+        }
+
+        fn finish_jobs(&mut self, w: usize) {
+            for fj in &mut self.workers[w].jobs {
+                fj.done = true;
+            }
+        }
+
+        fn step(&mut self) {
+            let (jobs, workers) = (self.jobs.len(), self.workers.len());
+            let j = self.rng.below(jobs);
+            let w = self.rng.below(workers);
+            match self.rng.below(10) {
+                0 | 1 => self.apply(j, Event::Poll),
+                2 => {
+                    self.acked[j] = true;
+                    self.apply(j, Event::Cancel);
+                }
+                3..=5 if !self.in_flight.is_empty() => {
+                    let k = self.rng.below(self.in_flight.len());
+                    self.settle_one(k);
+                }
+                6 | 7 => {
+                    // The worker finishes one of its open jobs.
+                    let open = self.workers[w].jobs.iter().filter(|fj| !fj.done).count();
+                    if open > 0 {
+                        let pick = self.rng.below(open);
+                        let mut open = self.workers[w].jobs.iter_mut().filter(|fj| !fj.done);
+                        open.nth(pick).expect("counted above").done = true;
+                    }
+                }
+                8 => {
+                    self.trail.push(format!("worker {w} restarts"));
+                    self.workers[w].jobs.clear();
+                    self.workers[w].up = true;
+                }
+                _ => {
+                    self.trail.push(format!("worker {w} dies"));
+                    self.workers[w].up = false;
+                }
+            }
+        }
+
+        /// Settles everything in flight, then either revives or kills the
+        /// whole fleet and polls until every job is done — within a bound
+        /// set by `ROUTE_ATTEMPTS`, or the drain would not terminate.
+        fn drain(&mut self) {
+            self.flaky = false;
+            while !self.in_flight.is_empty() {
+                self.settle_one(self.in_flight.len() - 1);
+            }
+            let revive = self.rng.one_in(2);
+            for w in &mut self.workers {
+                if !revive {
+                    w.up = false;
+                } else if !w.up {
+                    w.jobs.clear();
+                    w.up = true;
+                }
+            }
+            for _ in 0..ROUTE_ATTEMPTS + 2 {
+                for w in 0..self.workers.len() {
+                    self.finish_jobs(w);
+                }
+                let open: Vec<usize> = (0..self.jobs.len())
+                    .filter(|&j| !self.jobs[j].state.is_done())
+                    .collect();
+                if open.is_empty() {
+                    return;
+                }
+                for j in open {
+                    self.apply(j, Event::Poll);
+                    while !self.in_flight.is_empty() {
+                        self.settle_one(self.in_flight.len() - 1);
+                    }
+                }
+            }
+            self.fail("a job never reached done");
+        }
+    }
+
+    /// Thousands of seeded schedules of poll / cancel / placement /
+    /// worker progress / restart / death, interleaved arbitrarily with
+    /// the network steps in flight. Invariants: done is absorbing; after
+    /// an acknowledged cancel no action is a placement; only a routed job
+    /// holds a remote id, and only the one its latest placement returned;
+    /// a done row under another job's key is never accepted; and every
+    /// schedule reaches done.
+    #[test]
+    fn remote_lifecycle_model_holds_its_invariants() {
+        for seed in 0..4000 {
+            let mut model = Model::new(seed);
+            let steps = 20 + model.rng.below(60);
+            for _ in 0..steps {
+                model.step();
+            }
+            model.drain();
+        }
     }
 }

@@ -4,18 +4,21 @@
 //! The crate turns the batch engine into a long-running network service
 //! using nothing but std: a [`TcpListener`](std::net::TcpListener) accept
 //! loop, hand-rolled bounded HTTP parsing ([`http`]), the versioned JSON
-//! wire schema shared with the `fts batch` CLI ([`wire`]), and a bounded
-//! job queue in front of [`Engine`](fts_engine::Engine) ([`service`]).
+//! wire schema shared with the `fts batch` CLI ([`wire`]), and one job
+//! registry in front of an execution backend ([`service`]).
 //!
 //! # Endpoints
 //!
 //! | Route | Meaning |
 //! |---|---|
 //! | `POST /v1/jobs` | Submit a batch manifest (same schema as `fts batch`); returns job ids, `202` |
+//! | `POST /v1/decks` | Submit a raw SPICE deck; one job per analysis card, `202` |
 //! | `GET /v1/jobs` | Bounded job listing: `?state=` filter + cursor pagination |
 //! | `GET /v1/jobs/{id}` | Job status; done jobs embed the deterministic result object |
 //! | `GET /v1/jobs/{id}/trace` | The job's flight-recorder journal (`fts-trace/1`); `?format=chrome` renders Chrome trace-event JSON for `about:tracing` |
 //! | `DELETE /v1/jobs/{id}` | Cooperative cancel via the job's `CancelToken` |
+//! | `GET /v1/cache` | Result-cache statistics (a coordinator aggregates its fleet) |
+//! | `DELETE /v1/cache` | Flush the result cache (a coordinator fans out to its fleet) |
 //! | `GET /healthz` | Liveness: uptime, schema version, jobs in each state |
 //! | `GET /metrics` | Prometheus-style text: queue gauges, live per-endpoint request counters + sliding-window latency, fts-telemetry counters/percentiles |
 //! | `POST /v1/shutdown` | Graceful shutdown (same drain as SIGINT) |
@@ -30,8 +33,9 @@
 //!   onto the engine's per-job deadline tokens, so a runaway solve stops
 //!   within one Newton iteration of expiry.
 //! * **Bounded memory** — JSON nesting depth, request head/body sizes,
-//!   queue depths, and the number of retained finished-job results
-//!   (`retain_done`, evicting oldest-completed) are all capped.
+//!   queue depths, and both the result cache and the retained
+//!   finished-job rows (`cache_entries`, evicting least-recently-used
+//!   results and oldest-completed rows) are all capped.
 //! * **Graceful shutdown** — SIGINT, `POST /v1/shutdown`, or a
 //!   [`ServerHandle`] stop the accept loop, serve already-accepted
 //!   connections, let every admitted job finish, and flush a final
@@ -47,11 +51,13 @@
 
 //! # Distributed mode
 //!
-//! [`Coordinator`] puts the same wire API in front of a fleet of worker
-//! processes: submissions are validated locally, routed by consistent
-//! hash ([`ring`]) over the blocking [`WireClient`] ([`client`]), and
-//! recovered onto live workers when one dies mid-flight. See the
-//! `coordinator` module docs for the failure model and drain ordering.
+//! [`Coordinator::bind`] puts the same wire API — the same [`Server`]
+//! and [`JobService`] — in front of a fleet of worker processes: only the
+//! service's backend changes. Submissions are validated locally, routed
+//! by consistent hash ([`ring`]) over the blocking [`WireClient`]
+//! ([`client`]), and recovered onto live workers when one dies
+//! mid-flight. See the `coordinator` module docs for the failure model
+//! and drain ordering.
 
 #![deny(unsafe_code)] // `signal`/`net` opt out locally for their libc FFI shims.
 #![warn(missing_docs)]

@@ -1,4 +1,8 @@
-//! The HTTP server: accept loop, connection workers, routing, shutdown.
+//! The HTTP server: accept loop, connection workers, routing, shutdown —
+//! one run loop and one router for both serving roles. What runs behind
+//! them is the [`JobService`]'s backend: local simulation threads
+//! ([`Server::bind`]) or a worker fleet
+//! ([`Coordinator::bind`](crate::Coordinator::bind)).
 //!
 //! Two bounded queues give the service its backpressure story:
 //!
@@ -29,19 +33,6 @@ use crate::service::{
 };
 use crate::signal;
 use crate::wire::{BatchManifest, WireError, SCHEMA_VERSION};
-
-/// Resolves a config address string and binds it with `SO_REUSEADDR`
-/// (see [`crate::net`]) — shared by the single-process server and the
-/// coordinator so both survive same-port restarts.
-pub(crate) fn bind_addr(addr: &str) -> std::io::Result<TcpListener> {
-    let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("{addr:?} resolves to no address"),
-        )
-    })?;
-    crate::net::bind_reusable(sockaddr)
-}
 
 /// Server tunables; every field has a production-safe default.
 #[derive(Debug, Clone)]
@@ -96,10 +87,6 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    pub(crate) fn new(stop: Arc<AtomicBool>) -> ServerHandle {
-        ServerHandle { stop }
-    }
-
     /// Requests graceful shutdown (stop accepting, drain, report).
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -112,7 +99,7 @@ pub struct ShutdownReport {
     /// Jobs completed over the server's lifetime (every admitted job —
     /// the drain waits for all of them, so this equals admissions).
     pub jobs_completed: u64,
-    /// Submissions rejected with `429`.
+    /// Submissions rejected with `429` (or, on a coordinator, `503`).
     pub submissions_rejected: u64,
     /// Connections answered with the canned backlog `429`.
     pub connections_rejected: u64,
@@ -123,33 +110,68 @@ pub struct ShutdownReport {
     pub telemetry: String,
 }
 
-/// The bound-but-not-yet-running HTTP service.
+/// The bound-but-not-yet-running HTTP service, in either role.
 pub struct Server {
     listener: TcpListener,
-    service: Arc<JobService>,
-    config: ServerConfig,
+    service: JobService,
+    /// Simulation threads to run (0 on a coordinator).
+    sim_workers: usize,
+    conn_workers: usize,
+    conn_backlog: usize,
+    limits: HttpLimits,
     stop: Arc<AtomicBool>,
 }
 
 impl Server {
-    /// Binds the listener and prepares the job service. Telemetry is
+    /// Binds the listener and prepares a local job service. Telemetry is
     /// enabled here — `/metrics` and the shutdown report depend on it.
     ///
     /// # Errors
     ///
     /// Socket errors from binding `config.addr`.
     pub fn bind(config: ServerConfig, builder: Arc<dyn JobBuilder>) -> std::io::Result<Server> {
-        fts_telemetry::set_enabled(true);
-        let listener = bind_addr(&config.addr)?;
-        let service = Arc::new(
-            JobService::new(builder, config.queue_depth, config.cache_entries)
-                .cache_bytes(config.cache_bytes)
-                .trace_capacity(config.trace_events),
-        );
-        Ok(Server {
-            listener,
+        let service = JobService::new(builder, config.queue_depth, config.cache_entries)
+            .cache_bytes(config.cache_bytes)
+            .trace_capacity(config.trace_events);
+        let sim_workers = if config.workers == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            config.workers
+        };
+        Server::new(
+            &config.addr,
             service,
-            config,
+            sim_workers,
+            config.conn_workers,
+            config.conn_backlog,
+            config.limits,
+        )
+    }
+
+    /// Binds `addr` with `SO_REUSEADDR` (see [`crate::net`], so a
+    /// restarted worker reclaims its port at once) in front of `service`.
+    pub(crate) fn new(
+        addr: &str,
+        service: JobService,
+        sim_workers: usize,
+        conn_workers: usize,
+        conn_backlog: usize,
+        limits: HttpLimits,
+    ) -> std::io::Result<Server> {
+        fts_telemetry::set_enabled(true);
+        let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{addr:?} resolves to no address"),
+            )
+        })?;
+        Ok(Server {
+            listener: crate::net::bind_reusable(sockaddr)?,
+            service,
+            sim_workers,
+            conn_workers,
+            conn_backlog,
+            limits,
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -171,7 +193,9 @@ impl Server {
     }
 
     /// Runs the server until shutdown is requested, then drains and
-    /// returns the final [`ShutdownReport`].
+    /// returns the final [`ShutdownReport`]. A coordinator's drain polls
+    /// every routed job to completion and then (when configured)
+    /// cascades the shutdown to its fleet.
     ///
     /// # Errors
     ///
@@ -182,49 +206,56 @@ impl Server {
         signal::install_sigint();
         self.listener.set_nonblocking(true)?;
 
-        let sim_workers = if self.config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.workers
-        };
         let rejected_conns = AtomicU64::new(0);
         let http_metrics = HttpMetrics::default();
-        let conn_queue = new_conn_queue();
-
+        let conn_queue = (
+            Mutex::new(ConnQueue {
+                conns: VecDeque::new(),
+                closed: false,
+            }),
+            Condvar::new(),
+        );
+        let service = &self.service;
         let report = std::thread::scope(|scope| {
-            for _ in 0..sim_workers {
-                let service = Arc::clone(&self.service);
-                scope.spawn(move || service.worker_loop());
+            match service.fleet() {
+                Some(fleet) => {
+                    scope.spawn(|| fleet.probe_until(&self.stop));
+                }
+                None => {
+                    for _ in 0..self.sim_workers {
+                        scope.spawn(|| service.worker_loop());
+                    }
+                }
             }
-            spawn_conn_workers(
-                scope,
-                self.config.conn_workers,
-                &conn_queue,
-                self.service.as_ref(),
-                &self.stop,
-                &self.config.limits,
-                &http_metrics,
-                start,
-            );
+            for _ in 0..self.conn_workers.max(1) {
+                scope.spawn(|| {
+                    connection_worker(
+                        &conn_queue,
+                        service,
+                        &self.stop,
+                        &self.limits,
+                        &http_metrics,
+                        start,
+                    );
+                });
+            }
 
-            accept_loop(
-                &self.listener,
-                &self.stop,
-                &conn_queue,
-                self.config.conn_backlog,
-                &self.config.limits,
-                &rejected_conns,
-            );
+            self.accept_loop(&conn_queue, &rejected_conns);
 
             // Drain: serve already-accepted connections, then let every
-            // admitted job finish, then let workers observe the flags.
-            close_conn_queue(&conn_queue);
+            // admitted job finish, then let the threads observe the flags.
+            // The scope join waits for connection workers (they exit once
+            // the queue is closed and empty), simulation threads (exit
+            // after drain) and the prober (exits on stop).
+            {
+                let (lock, cv) = &conn_queue;
+                lock.lock().expect("conn queue poisoned").closed = true;
+                cv.notify_all();
+            }
             self.stop.store(true, Ordering::SeqCst);
-            self.service.drain();
-            // Scope join waits for conn workers (they exit once the queue
-            // is closed and empty) and sim workers (exit after drain).
+            service.drain();
 
-            let gauges = self.service.gauges();
+            let gauges = service.gauges();
             ShutdownReport {
                 jobs_completed: gauges.completed,
                 submissions_rejected: gauges.rejected,
@@ -235,118 +266,39 @@ impl Server {
         });
         Ok(report)
     }
-}
 
-/// The routing half of an HTTP service: everything above the shared
-/// accept loop / connection worker / metrics machinery. The
-/// single-process server implements it on [`JobService`]; the
-/// coordinator implements it on its own registry — both run behind the
-/// identical transport discipline.
-pub(crate) trait HttpApp: Sync {
-    /// Routes one parsed request to a response.
-    fn route(
-        &self,
-        request: &Request,
-        stop: &AtomicBool,
-        metrics: &HttpMetrics,
-        started: Instant,
-    ) -> Result<Response, HttpError>;
-}
-
-impl HttpApp for JobService {
-    fn route(
-        &self,
-        request: &Request,
-        stop: &AtomicBool,
-        metrics: &HttpMetrics,
-        started: Instant,
-    ) -> Result<Response, HttpError> {
-        route(request, self, stop, metrics, started)
+    /// The nonblocking accept loop: poll the listener, push accepted
+    /// sockets onto the bounded queue, answer backlog overflow with a
+    /// canned `429`. Returns when the stop flag flips or SIGINT lands.
+    fn accept_loop(&self, queue: &(Mutex<ConnQueue>, Condvar), rejected_conns: &AtomicU64) {
+        loop {
+            if self.stop.load(Ordering::SeqCst) || signal::sigint_received() {
+                return;
+            }
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    fts_telemetry::counter("server.http.accepted", 1);
+                    let (lock, cv) = queue;
+                    let mut q = lock.lock().expect("conn queue poisoned");
+                    if q.conns.len() >= self.conn_backlog {
+                        drop(q);
+                        rejected_conns.fetch_add(1, Ordering::Relaxed);
+                        fts_telemetry::counter("server.http.backlog_rejected", 1);
+                        reject_overloaded(stream, &self.limits);
+                    } else {
+                        q.conns.push_back(stream);
+                        cv.notify_one();
+                    }
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
     }
 }
 
-pub(crate) struct ConnQueue {
+struct ConnQueue {
     conns: VecDeque<TcpStream>,
     closed: bool,
-}
-
-pub(crate) type SharedConnQueue = Arc<(Mutex<ConnQueue>, Condvar)>;
-
-pub(crate) fn new_conn_queue() -> SharedConnQueue {
-    Arc::new((
-        Mutex::new(ConnQueue {
-            conns: VecDeque::new(),
-            closed: false,
-        }),
-        Condvar::new(),
-    ))
-}
-
-/// Closes the queue; connection workers exit once it is also empty.
-pub(crate) fn close_conn_queue(queue: &SharedConnQueue) {
-    let (lock, cv) = &**queue;
-    let mut q = lock.lock().expect("conn queue poisoned");
-    q.closed = true;
-    cv.notify_all();
-}
-
-/// Spawns the connection worker pool onto `scope`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_conn_workers<'scope, 'env>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    count: usize,
-    queue: &'env SharedConnQueue,
-    app: &'env (impl HttpApp + ?Sized),
-    stop: &'env Arc<AtomicBool>,
-    limits: &'env HttpLimits,
-    metrics: &'env HttpMetrics,
-    started: Instant,
-) {
-    for _ in 0..count.max(1) {
-        let queue = Arc::clone(queue);
-        let stop = Arc::clone(stop);
-        scope.spawn(move || {
-            connection_worker(&queue, app, &stop, limits, metrics, started);
-        });
-    }
-}
-
-/// The shared nonblocking accept loop: poll the listener, push accepted
-/// sockets onto the bounded queue, answer backlog overflow with a canned
-/// `429`. Returns when the stop flag flips or SIGINT lands.
-pub(crate) fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    queue: &SharedConnQueue,
-    conn_backlog: usize,
-    limits: &HttpLimits,
-    rejected_conns: &AtomicU64,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) || signal::sigint_received() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                fts_telemetry::counter("server.http.accepted", 1);
-                let (lock, cv) = &**queue;
-                let mut q = lock.lock().expect("conn queue poisoned");
-                if q.conns.len() >= conn_backlog {
-                    drop(q);
-                    rejected_conns.fetch_add(1, Ordering::Relaxed);
-                    fts_telemetry::counter("server.http.backlog_rejected", 1);
-                    reject_overloaded(stream, limits);
-                } else {
-                    q.conns.push_back(stream);
-                    cv.notify_one();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
 }
 
 /// One connection worker: pull sockets and serve them until the queue is
@@ -355,7 +307,7 @@ pub(crate) fn accept_loop(
 /// answer.
 fn connection_worker(
     queue: &(Mutex<ConnQueue>, Condvar),
-    app: &(impl HttpApp + ?Sized),
+    service: &JobService,
     stop: &AtomicBool,
     limits: &HttpLimits,
     metrics: &HttpMetrics,
@@ -375,7 +327,7 @@ fn connection_worker(
                 q = cv.wait(q).expect("conn queue poisoned");
             }
         };
-        handle_connection(stream, app, stop, limits, metrics, started);
+        handle_connection(stream, service, stop, limits, metrics, started);
     }
 }
 
@@ -391,7 +343,7 @@ fn reject_overloaded(mut stream: TcpStream, limits: &HttpLimits) {
 /// per-endpoint counters and the sliding latency window.
 fn handle_connection(
     mut stream: TcpStream,
-    app: &(impl HttpApp + ?Sized),
+    service: &JobService,
     stop: &AtomicBool,
     limits: &HttpLimits,
     metrics: &HttpMetrics,
@@ -411,7 +363,7 @@ fn handle_connection(
     };
     let method = method_label(&request.method);
     let path = route_template(&request.path);
-    let status = match app.route(&request, stop, metrics, started) {
+    let status = match route(&request, service, stop, metrics, started) {
         Ok(Response::Json {
             status,
             reason,
@@ -438,7 +390,7 @@ fn handle_connection(
 }
 
 #[derive(Debug)]
-pub(crate) enum Response {
+enum Response {
     Json {
         status: u16,
         reason: &'static str,
@@ -449,7 +401,7 @@ pub(crate) enum Response {
     },
 }
 
-pub(crate) fn json_ok(body: String) -> Result<Response, HttpError> {
+fn json_ok(body: String) -> Result<Response, HttpError> {
     Ok(Response::Json {
         status: 200,
         reason: "OK",
@@ -466,36 +418,24 @@ fn route(
     started: Instant,
 ) -> Result<Response, HttpError> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            let g = service.gauges();
-            json_ok(format!(
-                "{{\"schema_version\":{SCHEMA_VERSION},\"status\":\"ok\",\"uptime_s\":{:.3},\
-                 \"jobs\":{{\"queued\":{},\"running\":{},\"completed\":{},\"rejected\":{},\
-                 \"done_retained\":{}}}}}",
-                started.elapsed().as_secs_f64(),
-                g.queued,
-                g.running,
-                g.completed,
-                g.rejected,
-                g.done_retained,
-            ))
-        }
+        ("GET", "/healthz") => json_ok(healthz(service, started)),
         ("GET", "/metrics") => Ok(Response::Text {
             body: render_metrics(service, metrics),
         }),
-        ("POST", "/v1/jobs") => submit(request, service),
+        ("POST", "/v1/jobs") => Ok(match BatchManifest::parse(&request.body) {
+            Ok(manifest) => admission_response(service.submit(&manifest)),
+            Err(e) => wire_error_response(&e),
+        }),
         ("GET", "/v1/jobs") => match list_params(request) {
             Ok((state, cursor, limit)) => json_ok(service.list_json(state, cursor, limit)),
             Err(e) => Ok(wire_error_response(&e)),
         },
-        ("POST", "/v1/decks") => submit_deck(request, service),
+        // The body is a raw SPICE deck (`text/plain`), lowered to one job
+        // per analysis card through the same admission path as
+        // `/v1/jobs`; malformed decks answer `400` with line/column.
+        ("POST", "/v1/decks") => Ok(admission_response(service.submit_deck(&request.body))),
         ("GET", "/v1/cache") => json_ok(service.cache_stats_json()),
-        ("DELETE", "/v1/cache") => {
-            service.cache_flush();
-            json_ok(format!(
-                "{{\"schema_version\":{SCHEMA_VERSION},\"flushed\":true}}"
-            ))
-        }
+        ("DELETE", "/v1/cache") => json_ok(service.cache_flush()),
         ("POST", "/v1/shutdown") => {
             stop.store(true, Ordering::SeqCst);
             json_ok(format!(
@@ -535,6 +475,27 @@ fn route(
     }
 }
 
+/// The `/healthz` document: uptime and job gauges; a coordinator names
+/// its role and its fleet's health.
+fn healthz(service: &JobService, started: Instant) -> String {
+    let g = service.gauges();
+    let uptime = started.elapsed().as_secs_f64();
+    match service.fleet().map(crate::coordinator::Fleet::health) {
+        None => format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},\"status\":\"ok\",\"uptime_s\":{uptime:.3},\
+             \"jobs\":{{\"queued\":{},\"running\":{},\"completed\":{},\"rejected\":{},\
+             \"done_retained\":{}}}}}",
+            g.queued, g.running, g.completed, g.rejected, g.done_retained,
+        ),
+        Some((total, up)) => format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},\"status\":\"ok\",\"role\":\"coordinator\",\
+             \"uptime_s\":{uptime:.3},\"workers\":{{\"total\":{total},\"up\":{up}}},\
+             \"jobs\":{{\"routed\":{},\"completed\":{},\"rejected\":{},\"done_retained\":{}}}}}",
+            g.routed, g.completed, g.rejected, g.done_retained,
+        ),
+    }
+}
+
 /// Maps a [`TraceLookup`] onto the wire: the journal (or Chrome trace),
 /// a plain `404` for unknown ids, or a distinguishable `404` with code
 /// `trace_disabled` when the server runs with `trace_events = 0` — so a
@@ -559,9 +520,7 @@ fn trace_response(lookup: TraceLookup) -> Result<Response, HttpError> {
 /// `400`s with stable codes (`unknown_state`, `bad_cursor`,
 /// `invalid_limit`) rather than silent clamping, so clients learn the
 /// caps ([`LIST_LIMIT_MAX`]).
-pub(crate) fn list_params(
-    request: &Request,
-) -> Result<(Option<&str>, Option<u64>, usize), WireError> {
+fn list_params(request: &Request) -> Result<(Option<&str>, Option<u64>, usize), WireError> {
     // `routed` only ever matches on a coordinator, whose jobs live on
     // remote workers; a single-process server simply has none.
     let state = match request.query_param("state") {
@@ -598,31 +557,10 @@ pub(crate) fn list_params(
     Ok((state, cursor, limit))
 }
 
-/// `POST /v1/jobs`: parse the JSON manifest, validate, admit.
-fn submit(request: &Request, service: &JobService) -> Result<Response, HttpError> {
-    let manifest = match BatchManifest::parse(&request.body) {
-        Ok(m) => m,
-        Err(e) => return Ok(wire_error_response(&e)),
-    };
-    Ok(admission_response(service.submit(&manifest)))
-}
-
-/// `POST /v1/decks`: the body is a raw SPICE deck (`text/plain`), lowered
-/// to one job per analysis card through the same admission path as
-/// `/v1/jobs`. Malformed decks answer `400` with the deck's structured
-/// error code and 1-based line/column.
-fn submit_deck(request: &Request, service: &JobService) -> Result<Response, HttpError> {
-    let subs = match crate::service::deck_submissions(&request.body) {
-        Ok(s) => s,
-        Err(e) => return Ok(wire_error_response(&e)),
-    };
-    Ok(admission_response(service.submit_jobs(subs)))
-}
-
 /// Renders the shared admission outcome: `202` with ids, or the
 /// structured `400`/`429`/`503` bodies — every error through the one
 /// [`WireError`] envelope.
-pub(crate) fn admission_response(result: Result<Vec<u64>, SubmitError>) -> Response {
+fn admission_response(result: Result<Vec<u64>, SubmitError>) -> Response {
     match result {
         Ok(ids) => {
             let ids: Vec<String> = ids.iter().map(u64::to_string).collect();
@@ -655,7 +593,7 @@ pub(crate) fn admission_response(result: Result<Vec<u64>, SubmitError>) -> Respo
     }
 }
 
-pub(crate) fn wire_error_response(e: &WireError) -> Response {
+fn wire_error_response(e: &WireError) -> Response {
     Response::Json {
         status: 400,
         reason: "Bad Request",
@@ -676,7 +614,7 @@ const LATENCY_WINDOW: usize = 512;
 /// [`route_template`]) before they become keys, so a hostile client
 /// spraying random paths cannot grow this map.
 #[derive(Default)]
-pub(crate) struct HttpMetrics {
+struct HttpMetrics {
     counters: Mutex<std::collections::BTreeMap<(&'static str, &'static str, u16), u64>>,
     latency: Mutex<LatencyRing>,
 }
@@ -690,13 +628,7 @@ struct LatencyRing {
 
 impl HttpMetrics {
     /// Books one finished request into the counters and latency window.
-    pub(crate) fn record(
-        &self,
-        method: &'static str,
-        path: &'static str,
-        status: u16,
-        latency_s: f64,
-    ) {
+    fn record(&self, method: &'static str, path: &'static str, status: u16, latency_s: f64) {
         {
             let mut counters = self.counters.lock().expect("http counters poisoned");
             *counters.entry((method, path, status)).or_insert(0) += 1;
@@ -722,7 +654,7 @@ impl HttpMetrics {
 }
 
 /// Normalizes a request method into a bounded label vocabulary.
-pub(crate) fn method_label(method: &str) -> &'static str {
+fn method_label(method: &str) -> &'static str {
     match method {
         "GET" => "GET",
         "POST" => "POST",
@@ -736,7 +668,7 @@ pub(crate) fn method_label(method: &str) -> &'static str {
 
 /// Normalizes a request path into its route template, collapsing job ids
 /// so `/v1/jobs/17` and `/v1/jobs/99` share one `{id}` time series.
-pub(crate) fn route_template(path: &str) -> &'static str {
+fn route_template(path: &str) -> &'static str {
     match path {
         "/healthz" => "/healthz",
         "/metrics" => "/metrics",
@@ -773,7 +705,7 @@ pub(crate) fn prom_escape(s: &str) -> String {
 
 /// Clamps a metric value to something every scraper can parse: `NaN` and
 /// infinities render as `0`.
-pub(crate) fn prom_num(v: f64) -> f64 {
+fn prom_num(v: f64) -> f64 {
     if v.is_finite() {
         v
     } else {
@@ -781,9 +713,10 @@ pub(crate) fn prom_num(v: f64) -> f64 {
     }
 }
 
-/// Renders `/metrics` in Prometheus text exposition style: server gauges
-/// first, then the live per-endpoint HTTP series, then every
-/// fts-telemetry counter and histogram (p50/p90/p99).
+/// Renders `/metrics` in Prometheus text exposition style: job gauges
+/// first (a coordinator adds its fleet's series), then the live
+/// per-endpoint HTTP series, then every fts-telemetry counter and
+/// histogram (p50/p90/p99).
 ///
 /// Invariants the scrape test pins down: label values are escaped
 /// ([`prom_escape`]), every rendered value parses as a finite `f64`
@@ -791,34 +724,35 @@ pub(crate) fn prom_num(v: f64) -> f64 {
 /// an empty histogram has no meaningful mean or percentile, so those
 /// lines are skipped rather than invented.
 fn render_metrics(service: &JobService, metrics: &HttpMetrics) -> String {
-    let gauges = service.gauges();
-    let mut out = String::with_capacity(2048);
-    out.push_str("# fts-server metrics (schema_version 1)\n");
-    {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "fts_jobs_queued {}", gauges.queued);
-        let _ = writeln!(out, "fts_jobs_running {}", gauges.running);
-        let _ = writeln!(out, "fts_jobs_completed {}", gauges.completed);
-        let _ = writeln!(out, "fts_submissions_rejected {}", gauges.rejected);
-        let _ = writeln!(out, "fts_queue_depth {}", gauges.queue_depth);
-        let _ = writeln!(out, "fts_jobs_done_retained {}", gauges.done_retained);
-        let cache = service.cache_stats();
-        let _ = writeln!(out, "fts_cache_entries {}", cache.entries);
-        let _ = writeln!(out, "fts_cache_bytes {}", cache.bytes);
-        let _ = writeln!(out, "fts_cache_hits_total {}", cache.hits);
-        let _ = writeln!(out, "fts_cache_misses_total {}", cache.misses);
-        let _ = writeln!(out, "fts_cache_evictions_total {}", cache.evictions);
-        let _ = writeln!(out, "fts_cache_hit_ratio {}", prom_num(cache.hit_ratio()));
-    }
-    render_http_series(&mut out, metrics);
-    render_telemetry_series(&mut out);
-    out
-}
-
-/// Appends the live per-endpoint HTTP series (request counters + latency
-/// window percentiles) — shared between server and coordinator scrapes.
-pub(crate) fn render_http_series(out: &mut String, metrics: &HttpMetrics) {
     use std::fmt::Write as _;
+    let g = service.gauges();
+    let fleet = service.fleet();
+    let mut out = String::with_capacity(2048);
+    if fleet.is_some() {
+        out.push_str("# fts-coordinator metrics (schema_version 1)\n");
+        let _ = writeln!(out, "fts_jobs_routed {}", g.routed);
+    } else {
+        out.push_str("# fts-server metrics (schema_version 1)\n");
+        let _ = writeln!(out, "fts_jobs_queued {}", g.queued);
+        let _ = writeln!(out, "fts_jobs_running {}", g.running);
+    }
+    let _ = writeln!(out, "fts_jobs_completed {}", g.completed);
+    let _ = writeln!(out, "fts_submissions_rejected {}", g.rejected);
+    if fleet.is_none() {
+        let _ = writeln!(out, "fts_queue_depth {}", g.queue_depth);
+    }
+    let _ = writeln!(out, "fts_jobs_done_retained {}", g.done_retained);
+    let cache = service.cache_stats();
+    let _ = writeln!(out, "fts_cache_entries {}", cache.entries);
+    let _ = writeln!(out, "fts_cache_bytes {}", cache.bytes);
+    let _ = writeln!(out, "fts_cache_hits_total {}", cache.hits);
+    let _ = writeln!(out, "fts_cache_misses_total {}", cache.misses);
+    let _ = writeln!(out, "fts_cache_evictions_total {}", cache.evictions);
+    let _ = writeln!(out, "fts_cache_hit_ratio {}", prom_num(cache.hit_ratio()));
+    if let Some(fleet) = fleet {
+        fleet.render_metrics(&mut out);
+    }
+
     {
         let counters = metrics.counters.lock().expect("http counters poisoned");
         for (&(method, path, status), &n) in counters.iter() {
@@ -842,12 +776,7 @@ pub(crate) fn render_http_series(out: &mut String, metrics: &HttpMetrics) {
         let _ = writeln!(out, "fts_http_latency_window_p90_s {}", at(0.90));
         let _ = writeln!(out, "fts_http_latency_window_p99_s {}", at(0.99));
     }
-}
 
-/// Appends every fts-telemetry counter and histogram — shared between
-/// server and coordinator scrapes.
-pub(crate) fn render_telemetry_series(out: &mut String) {
-    use std::fmt::Write as _;
     let report = fts_telemetry::snapshot();
     for c in &report.counters {
         let _ = writeln!(
@@ -864,27 +793,20 @@ pub(crate) fn render_telemetry_series(out: &mut String) {
         if s.n == 0 {
             continue;
         }
-        let _ = writeln!(
-            out,
-            "fts_histogram_mean{{name=\"{name}\"}} {}",
-            prom_num(s.mean)
-        );
-        let _ = writeln!(
-            out,
-            "fts_histogram_p50{{name=\"{name}\"}} {}",
-            prom_num(s.p50)
-        );
-        let _ = writeln!(
-            out,
-            "fts_histogram_p90{{name=\"{name}\"}} {}",
-            prom_num(s.p90)
-        );
-        let _ = writeln!(
-            out,
-            "fts_histogram_p99{{name=\"{name}\"}} {}",
-            prom_num(s.p99)
-        );
+        for (stat, v) in [
+            ("mean", s.mean),
+            ("p50", s.p50),
+            ("p90", s.p90),
+            ("p99", s.p99),
+        ] {
+            let _ = writeln!(
+                out,
+                "fts_histogram_{stat}{{name=\"{name}\"}} {}",
+                prom_num(v)
+            );
+        }
     }
+    out
 }
 
 #[cfg(test)]

@@ -1,13 +1,26 @@
-//! The job service: a bounded work queue in front of the batch engine.
+//! The job service: one registry and one admission path in front of an
+//! execution backend.
 //!
-//! [`JobService`] owns the job registry (id → state), the pending queue,
-//! and the worker protocol. Admission is **all-or-nothing**: a manifest's
-//! jobs are either all enqueued or the whole submission is rejected with
-//! [`SubmitError::Overloaded`] (the HTTP layer's `429`), so a client never
-//! has to reason about partially-accepted batches. Workers pull queued
-//! jobs and run them through [`Engine::run_single`], which applies the
-//! same retry/deadline/telemetry semantics as `Engine::run` — that is
-//! what makes served results byte-identical to direct engine submission.
+//! [`JobService`] owns the job registry (id → entry), admission with its
+//! cache lookup, status documents, listing, cancellation, traces, gauges,
+//! and drain — for both serving roles. The roles differ only in where an
+//! admitted job runs, the service's `Backend`:
+//!
+//! * **Local** (`fts serve`): a bounded pending queue drained by
+//!   simulation threads ([`JobService::worker_loop`]) through
+//!   [`Engine::run_single`], which applies the same
+//!   retry/deadline/telemetry semantics as `Engine::run` — that is what
+//!   makes served results byte-identical to direct engine submission.
+//! * **Remote** (the coordinator): placement on a worker fleet over the
+//!   wire protocol ([`crate::coordinator`]). A worker's finished `job`
+//!   row is stored verbatim and rendered by the same status function as
+//!   a local row, so byte-identity with `fts batch` holds by
+//!   construction.
+//!
+//! Admission is **all-or-nothing**: a manifest's jobs are either all
+//! admitted or the whole submission is rejected — [`SubmitError::Overloaded`]
+//! (the HTTP layer's `429`) when the local queue cannot take them,
+//! [`SubmitError::Unavailable`] when no worker can.
 //!
 //! Job *construction* is injected through [`JobBuilder`] rather than done
 //! here: the service knows manifests and outcomes, while the caller (the
@@ -17,7 +30,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use fts_engine::{
@@ -28,11 +41,11 @@ use fts_netlist::{elaborate, parse_str, ElabOptions};
 use fts_spice::{CancelToken, NodeId};
 use fts_telemetry::trace::JobTrace;
 
+use crate::coordinator::{Doc, Fleet, Placement, Source};
 use crate::wire::{
     cache_member_json, job_row_json, json_escape, json_f64, outcome_json, trace_chrome_json,
-    trace_journal_json, JobSource, JobSpec, WireError, SCHEMA_VERSION,
+    trace_journal_json, BatchManifest, JobSource, JobSpec, WireError, SCHEMA_VERSION,
 };
-
 /// A manifest job lowered to an engine job plus the node to report.
 pub struct BuiltJob {
     /// The runnable engine job (netlist + analysis; policy fields are
@@ -178,56 +191,170 @@ pub enum SubmitError {
     Unavailable(String),
 }
 
-enum JobState {
+/// Where a job is in its life. Local jobs move queued → running → done;
+/// remote jobs move between routed, stranded and rerouting (see
+/// [`crate::coordinator::transition`]) until done.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum JobState {
+    /// Admitted, waiting for a simulation thread.
     Queued,
+    /// Executing on a simulation thread.
     Running,
-    Done { kind: &'static str, row: String },
+    /// Placed on a worker as its job `at.remote`; `attempts` counts the
+    /// placements so far.
+    Routed { at: Placement, attempts: usize },
+    /// Lost its placement and no worker took it again. Holds **no**
+    /// remote id, so the next poll re-places it instead of asking a
+    /// restarted worker about an id that may now be another job's.
+    Stranded { attempts: usize },
+    /// Claimed by one thread that is placing it with the registry
+    /// unlocked; other polls answer `queued` meanwhile.
+    Rerouting { attempts: usize },
+    /// Terminal: the report row and its kind. `at` is where a remote job
+    /// really ran (trace requests are proxied there); synthetic rows and
+    /// local jobs carry `None`.
+    Done {
+        kind: String,
+        row: String,
+        at: Option<Placement>,
+    },
 }
 
-struct JobEntry {
-    label: String,
-    waveform: bool,
-    out: NodeId,
-    cancel: CancelToken,
-    /// Present while queued; taken by the worker that starts the job.
-    job: Option<SimJob>,
-    /// The job's flight recorder, minted at admission (absent when the
-    /// service runs with tracing disabled). The engine installs the
-    /// other clone of this handle on the worker thread; this one serves
-    /// `GET /v1/jobs/{id}/trace`, including mid-run.
-    trace: Option<JobTrace>,
-    /// The job's canonical content hash, computed at admission.
-    key: CacheKey,
+impl JobState {
+    /// The status word `GET /v1/jobs` lists and filters by.
+    fn listed(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Routed { .. } | JobState::Stranded { .. } | JobState::Rerouting { .. } => {
+                "routed"
+            }
+            JobState::Done { .. } => "done",
+        }
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        matches!(self, JobState::Done { .. })
+    }
+}
+
+/// One registered job, whichever backend runs it.
+pub(crate) struct JobEntry {
+    pub(crate) label: String,
+    /// The job's canonical content hash, computed at admission. A proxied
+    /// done row is accepted only when its `cache.key` equals this.
+    pub(crate) key: CacheKey,
     /// The job's cache policy.
-    mode: CacheMode,
-    state: JobState,
+    pub(crate) mode: CacheMode,
+    /// Local: the engine job while queued, taken by the thread that
+    /// starts it, plus the node and waveform flag its row reports.
+    pub(crate) job: Option<SimJob>,
+    pub(crate) out: NodeId,
+    pub(crate) waveform: bool,
+    /// Fired by `DELETE`. A local job stops at its next cancellation
+    /// point; a remote job whose worker is lost closes as cancelled
+    /// instead of being placed again.
+    pub(crate) cancel: CancelToken,
+    /// Local: the job's flight recorder, minted at admission (absent when
+    /// tracing is disabled). The engine installs the other clone of this
+    /// handle on the worker thread; this one serves
+    /// `GET /v1/jobs/{id}/trace`, including mid-run.
+    pub(crate) trace: Option<JobTrace>,
+    /// Remote: the document that places the job again after its worker
+    /// is lost; `None` for multi-analysis deck jobs, which cannot be
+    /// re-posted one job at a time.
+    pub(crate) resubmit: Option<Doc>,
+    pub(crate) state: JobState,
 }
 
-struct Registry {
-    jobs: HashMap<u64, JobEntry>,
+impl JobEntry {
+    /// The `GET /v1/jobs/{id}` document. `live` is the owning worker's
+    /// own status word for a routed job that just answered one.
+    pub(crate) fn status_json(&self, id: u64, live: Option<&str>) -> String {
+        let status = match &self.state {
+            JobState::Done { kind, row, .. } => {
+                return format!(
+                    "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"status\":\"done\",\"kind\":\"{kind}\",\"job\":{row}}}"
+                )
+            }
+            JobState::Queued | JobState::Stranded { .. } | JobState::Rerouting { .. } => "queued",
+            JobState::Running => "running",
+            JobState::Routed { .. } => live.unwrap_or("routed"),
+        };
+        format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"label\":\"{}\",\"status\":\"{status}\"}}",
+            json_escape(&self.label)
+        )
+    }
+}
+
+/// The report row of a job served from the result cache: the stored
+/// result bytes under this submission's own label, zero wall time, and
+/// the attempts of the run that produced them.
+fn hit_row(label: &str, key: CacheKey, cached: &CachedResult) -> String {
+    format!(
+        "{{\"label\":\"{}\",\"kind\":\"{}\",\"wall_s\":0,\"attempts\":{},\"result\":{}{}}}",
+        json_escape(label),
+        cached.kind,
+        cached.attempts,
+        cached.result_json,
+        cache_member_json(key, true),
+    )
+}
+
+pub(crate) struct Registry {
+    pub(crate) jobs: HashMap<u64, JobEntry>,
+    /// Local: queued ids in admission order.
     pending: VecDeque<u64>,
     /// Done entry ids in completion order — the eviction queue that keeps
-    /// retained results (potentially multi-megabyte waveform rows)
-    /// bounded on a long-running server.
+    /// retained rows (potentially multi-megabyte waveform rows) bounded
+    /// on a long-running server.
     done_order: VecDeque<u64>,
+    /// The done-row bound (`cache_entries`).
+    retain: usize,
     next_id: u64,
     draining: bool,
     running: usize,
     completed: u64,
 }
 
-/// Live queue/registry gauges for `/metrics`.
+impl Registry {
+    /// Books `id`, just flipped to done, as a completion and evicts the
+    /// oldest done rows beyond the retention bound — the one place done
+    /// rows age out.
+    pub(crate) fn retire(&mut self, id: u64) {
+        self.completed += 1;
+        self.done_order.push_back(id);
+        while self.done_order.len() > self.retain {
+            let evicted = self.done_order.pop_front().expect("non-empty");
+            self.jobs.remove(&evicted);
+        }
+    }
+}
+
+/// Where admitted jobs run.
+pub(crate) enum Backend {
+    /// Simulation threads pulling from the pending queue.
+    Local(Engine),
+    /// Placement on a worker fleet.
+    Remote(Fleet),
+}
+
+/// Live registry gauges for `/healthz` and `/metrics`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceGauges {
     /// Jobs admitted but not yet started.
     pub queued: usize,
-    /// Jobs currently executing on a worker.
+    /// Jobs currently executing on a simulation thread.
     pub running: usize,
+    /// Jobs placed on (or being re-placed onto) a worker fleet.
+    pub routed: usize,
     /// Jobs finished (any outcome) since startup.
     pub completed: u64,
     /// Finished job rows currently retained (≤ the `cache_entries` bound).
     pub done_retained: usize,
-    /// Submissions rejected with `429` since startup.
+    /// Submissions rejected with `429` (local) or `503` (remote) since
+    /// startup.
     pub rejected: u64,
     /// Configured queue capacity.
     pub queue_depth: usize,
@@ -249,32 +376,20 @@ pub const LIST_LIMIT_DEFAULT: usize = 50;
 /// `400`, not a silent clamp, so clients learn the cap.
 pub const LIST_LIMIT_MAX: usize = 500;
 
-/// Renders one `GET /v1/jobs` page: `rows` (each already a JSON object)
-/// plus `next_cursor` when `truncated` says there is more. Shared by the
-/// single-process server and the coordinator so both listings carry the
-/// identical shape.
-#[must_use]
-pub fn list_page_json(rows: &[String], truncated: bool, last_id: Option<u64>) -> String {
-    let mut doc = format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"jobs\":[{}]",
-        rows.join(",")
-    );
-    if truncated {
-        if let Some(last) = last_id {
-            doc.push_str(&format!(",\"next_cursor\":{last}"));
-        }
-    }
-    doc.push('}');
-    doc
-}
-
-/// Renders one [`CacheStats`] snapshot as the `GET /v1/cache` body —
-/// shared by the single-process server and (per worker, plus the
-/// aggregate) the coordinator.
+/// Renders one [`CacheStats`] snapshot as the `GET /v1/cache` body.
 #[must_use]
 pub fn cache_stats_json(s: &CacheStats) -> String {
     format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"entries\":{},\"bytes\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_ratio\":{}}}",
+        "{{\"schema_version\":{SCHEMA_VERSION},{}}}",
+        cache_stats_fields(s)
+    )
+}
+
+/// The stats members of a cache document, without braces — shared by
+/// the single-node body and the coordinator's per-node breakdown.
+pub(crate) fn cache_stats_fields(s: &CacheStats) -> String {
+    format!(
+        "\"entries\":{},\"bytes\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_ratio\":{}",
         s.entries,
         s.bytes,
         s.hits,
@@ -296,26 +411,27 @@ pub enum TraceLookup {
     Journal(String),
 }
 
-/// The bounded job queue + registry behind the HTTP endpoints.
+/// The job registry behind the HTTP endpoints, over one `Backend`.
 pub struct JobService {
     registry: Mutex<Registry>,
     work_ready: Condvar,
     job_done: Condvar,
     builder: Arc<dyn JobBuilder>,
-    engine: Engine,
+    backend: Backend,
     queue_depth: usize,
-    cache_entries: usize,
-    /// The content-addressed result cache + warm-start index (PR 10).
-    cache: ResultCache,
+    /// The content-addressed result cache + warm-start index. Admission
+    /// consults it in both roles; a coordinator fills it from proxied
+    /// completions.
+    pub(crate) cache: ResultCache,
     /// Per-job flight-recorder ring capacity; 0 disables tracing.
     trace_events: usize,
     rejected: AtomicU64,
 }
 
 impl JobService {
-    /// A service admitting at most `queue_depth` queued jobs, lowering
-    /// manifests through `builder`, and bounding both the result cache
-    /// and the retained finished-job rows to `cache_entries` (see
+    /// A local service admitting at most `queue_depth` queued jobs,
+    /// lowering manifests through `builder`, and bounding both the result
+    /// cache and the retained finished-job rows to `cache_entries` (see
     /// [`DEFAULT_CACHE_ENTRIES`]; the byte bound defaults to
     /// [`DEFAULT_CACHE_BYTES`], adjustable via
     /// [`cache_bytes`](JobService::cache_bytes)).
@@ -335,11 +451,27 @@ impl JobService {
         queue_depth: usize,
         cache_entries: usize,
     ) -> JobService {
+        JobService::with_backend(
+            builder,
+            Backend::Local(Engine::new()),
+            queue_depth,
+            cache_entries,
+        )
+    }
+
+    pub(crate) fn with_backend(
+        builder: Arc<dyn JobBuilder>,
+        backend: Backend,
+        queue_depth: usize,
+        cache_entries: usize,
+    ) -> JobService {
+        let cache_entries = cache_entries.max(1);
         JobService {
             registry: Mutex::new(Registry {
                 jobs: HashMap::new(),
                 pending: VecDeque::new(),
                 done_order: VecDeque::new(),
+                retain: cache_entries,
                 next_id: 0,
                 draining: false,
                 running: 0,
@@ -348,10 +480,9 @@ impl JobService {
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
             builder,
-            engine: Engine::new(),
+            backend,
             queue_depth: queue_depth.max(1),
-            cache_entries: cache_entries.max(1),
-            cache: ResultCache::new(cache_entries.max(1), DEFAULT_CACHE_BYTES),
+            cache: ResultCache::new(cache_entries, DEFAULT_CACHE_BYTES),
             trace_events: fts_telemetry::trace::DEFAULT_EVENT_CAP,
             rejected: AtomicU64::new(0),
         }
@@ -360,7 +491,7 @@ impl JobService {
     /// Rebounds the result cache's byte budget (entry bound unchanged).
     /// Call before serving traffic: the cache is reset empty.
     pub fn cache_bytes(mut self, bytes: usize) -> JobService {
-        self.cache = ResultCache::new(self.cache_entries, bytes);
+        self.cache = ResultCache::new(self.cache.max_entries(), bytes);
         self
     }
 
@@ -374,19 +505,31 @@ impl JobService {
         self
     }
 
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().expect("registry poisoned")
+    }
+
+    /// The worker fleet, when this service places jobs remotely.
+    pub(crate) fn fleet(&self) -> Option<&Fleet> {
+        match &self.backend {
+            Backend::Remote(fleet) => Some(fleet),
+            Backend::Local(_) => None,
+        }
+    }
+
     /// Validates, lowers, and admits a manifest's jobs; returns their ids
     /// in manifest order.
     ///
     /// Construction happens *before* admission, so an invalid manifest is
-    /// rejected without consuming queue slots, and admission is
-    /// all-or-nothing against the queue bound.
+    /// rejected without consuming queue slots or touching a worker.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Invalid`] on validation failure,
-    /// [`SubmitError::Overloaded`] when the queue cannot take every job,
+    /// [`SubmitError::Invalid`] on validation failure (an empty manifest
+    /// included), [`SubmitError::Overloaded`] when the queue cannot take
+    /// every job, [`SubmitError::Unavailable`] when no worker can,
     /// [`SubmitError::ShuttingDown`] while draining.
-    pub fn submit(&self, manifest: &crate::wire::BatchManifest) -> Result<Vec<u64>, SubmitError> {
+    pub fn submit(&self, manifest: &BatchManifest) -> Result<Vec<u64>, SubmitError> {
         let mut subs = Vec::with_capacity(manifest.jobs.len());
         for (k, spec) in manifest.jobs.iter().enumerate() {
             let b = build_job(self.builder.as_ref(), spec, k).map_err(SubmitError::Invalid)?;
@@ -398,141 +541,158 @@ impl JobService {
                 cache: spec.cache,
             });
         }
-        self.submit_jobs(subs)
+        self.admit(subs, &Source::Manifest(manifest))
     }
 
-    /// Admits pre-built jobs: the single all-or-nothing admission path
-    /// behind both `POST /v1/jobs` (via [`submit`](JobService::submit))
-    /// and `POST /v1/decks` (via [`deck_submissions`]); returns ids in
-    /// submission order.
+    /// Lowers a raw deck (`POST /v1/decks`) into one job per analysis
+    /// card (see [`deck_submissions`]) and admits them together.
     ///
     /// # Errors
     ///
-    /// Same contract as [`submit`](JobService::submit).
-    pub fn submit_jobs(&self, subs: Vec<Submission>) -> Result<Vec<u64>, SubmitError> {
+    /// Same contract as [`submit`](JobService::submit); deck errors carry
+    /// line and column.
+    pub fn submit_deck(&self, text: &str) -> Result<Vec<u64>, SubmitError> {
+        let subs = deck_submissions(text).map_err(SubmitError::Invalid)?;
+        self.admit(subs, &Source::Deck(text))
+    }
+
+    /// The single all-or-nothing admission path. Keys and cache lookups
+    /// run before any lock; a `default`-mode job whose key is cached is
+    /// minted done on the spot and never occupies a queue slot or a
+    /// worker. A remote backend places the misses before anything is
+    /// registered, with the registry unlocked.
+    fn admit(&self, subs: Vec<Submission>, source: &Source<'_>) -> Result<Vec<u64>, SubmitError> {
         if subs.is_empty() {
             return Err(SubmitError::Invalid(WireError::manifest(
                 "empty_manifest",
                 "no jobs to admit",
             )));
         }
-
-        // Canonical keys are pure functions of the job — compute them
-        // before taking the registry lock.
-        let keyed: Vec<(Submission, CacheKey)> = subs
-            .into_iter()
-            .map(|s| {
-                let key = cache_key(&s.job, s.out, s.waveform);
-                (s, key)
-            })
+        let keys: Vec<CacheKey> = subs
+            .iter()
+            .map(|s| cache_key(&s.job, s.out, s.waveform))
             .collect();
+        let hits: Vec<Option<CachedResult>> = subs
+            .iter()
+            .zip(&keys)
+            .map(|(s, &key)| s.cache.reads().then(|| self.cache.lookup(key)).flatten())
+            .collect();
+        let misses = hits.iter().filter(|h| h.is_none()).count();
 
-        let mut reg = self.registry.lock().expect("registry poisoned");
+        // Remote ids are reserved first (ids burned by a failed placement
+        // stay burned: they are opaque handles, not dense indices).
+        let (mut placed, reserved) = match &self.backend {
+            Backend::Local(_) => (Vec::new(), None),
+            Backend::Remote(fleet) => {
+                let base = {
+                    let mut reg = self.lock();
+                    if reg.draining {
+                        return Err(SubmitError::ShuttingDown);
+                    }
+                    reg.next_id += subs.len() as u64;
+                    reg.next_id - subs.len() as u64
+                };
+                let missed: Vec<bool> = hits.iter().map(Option::is_none).collect();
+                let Some(placed) = fleet.place_admission(base, &missed, source) else {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    return Err(SubmitError::Unavailable(
+                        "no worker accepted the job (fleet down or refusing)".into(),
+                    ));
+                };
+                (placed, Some(base))
+            }
+        };
+
+        let mut reg = self.lock();
         if reg.draining {
+            // Drain began while placing: its completion scan may already
+            // have passed, so refuse rather than strand jobs.
+            drop(reg);
+            if let Some(fleet) = self.fleet() {
+                fleet.recall_all(&placed);
+            }
             return Err(SubmitError::ShuttingDown);
         }
+        let base = match reserved {
+            Some(base) => base,
+            None if reg.pending.len() + misses > self.queue_depth => {
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                fts_telemetry::counter("server.jobs.rejected", subs.len() as u64);
+                return Err(SubmitError::Overloaded {
+                    queued: reg.pending.len(),
+                    depth: self.queue_depth,
+                });
+            }
+            None => {
+                reg.next_id += subs.len() as u64;
+                reg.next_id - subs.len() as u64
+            }
+        };
 
-        // Admission consults the cache: a `default`-mode job whose key is
-        // already cached is minted Done on the spot — it never occupies a
-        // queue slot, so capacity is checked against misses only.
-        let looked: Vec<(Submission, CacheKey, Option<CachedResult>)> = keyed
-            .into_iter()
-            .map(|(s, key)| {
-                let hit = s.cache.reads().then(|| self.cache.lookup(key)).flatten();
-                (s, key, hit)
-            })
-            .collect();
-        let misses = looked.iter().filter(|(_, _, hit)| hit.is_none()).count();
-        if reg.pending.len() + misses > self.queue_depth {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            fts_telemetry::counter("server.jobs.rejected", looked.len() as u64);
-            return Err(SubmitError::Overloaded {
-                queued: reg.pending.len(),
-                depth: self.queue_depth,
-            });
-        }
-
-        let mut ids = Vec::with_capacity(looked.len());
-        let mut queued_any = false;
-        for (mut s, key, hit) in looked {
-            let id = reg.next_id;
-            reg.next_id += 1;
+        let mut ids = Vec::with_capacity(subs.len());
+        for (k, ((mut s, key), hit)) in subs.into_iter().zip(keys).zip(hits).enumerate() {
+            let id = base + k as u64;
+            let placement = placed.get_mut(k).and_then(Option::take);
             let trace = (self.trace_events > 0).then(|| JobTrace::new(self.trace_events));
-            if let Some(cached) = hit {
-                // Serve the stored result bytes under this submission's
-                // own label: byte-identical `result` object, zero queue
-                // time, attempts quoted from the original run.
-                let row = format!(
-                    "{{\"label\":\"{}\",\"kind\":\"{}\",\"wall_s\":0,\"attempts\":{},\"result\":{}{}}}",
-                    json_escape(&s.label),
-                    cached.kind,
-                    cached.attempts,
-                    cached.result_json,
-                    cache_member_json(key, true),
-                );
-                reg.jobs.insert(
-                    id,
-                    JobEntry {
-                        label: s.label,
-                        waveform: s.waveform,
-                        out: s.out,
-                        cancel: CancelToken::new(),
-                        job: None,
-                        trace,
-                        key,
-                        mode: s.cache,
-                        state: JobState::Done {
-                            kind: cached.kind,
-                            row,
-                        },
+            let (state, resubmit, job) = match (hit, placement) {
+                (Some(cached), _) => (
+                    JobState::Done {
+                        kind: cached.kind.to_owned(),
+                        row: hit_row(&s.label, key, &cached),
+                        at: None,
                     },
-                );
-                reg.completed += 1;
-                reg.done_order.push_back(id);
-                while reg.done_order.len() > self.cache_entries {
-                    let evicted = reg.done_order.pop_front().expect("non-empty");
-                    reg.jobs.remove(&evicted);
+                    None,
+                    None,
+                ),
+                (None, Some((at, resubmit))) => {
+                    (JobState::Routed { at, attempts: 1 }, resubmit, None)
                 }
-            } else {
-                // Mint the job's flight recorder at admission: the engine
-                // installs the handle riding on the job, the registry
-                // keeps this clone to serve the journal.
-                if let Some(t) = &trace {
-                    s.job.trace = Some(t.clone());
+                (None, None) => {
+                    // The engine installs the trace riding on the job; the
+                    // registry keeps the other clone to serve the journal.
+                    s.job.trace.clone_from(&trace);
+                    reg.pending.push_back(id);
+                    (JobState::Queued, None, Some(s.job))
                 }
-                reg.jobs.insert(
-                    id,
-                    JobEntry {
-                        label: s.label,
-                        waveform: s.waveform,
-                        out: s.out,
-                        cancel: CancelToken::new(),
-                        job: Some(s.job),
-                        trace,
-                        key,
-                        mode: s.cache,
-                        state: JobState::Queued,
-                    },
-                );
-                reg.pending.push_back(id);
-                queued_any = true;
+            };
+            let done = state.is_done();
+            reg.jobs.insert(
+                id,
+                JobEntry {
+                    label: s.label,
+                    key,
+                    mode: s.cache,
+                    job,
+                    out: s.out,
+                    waveform: s.waveform,
+                    cancel: CancelToken::new(),
+                    trace,
+                    resubmit,
+                    state,
+                },
+            );
+            if done {
+                reg.retire(id);
+                if reserved.is_some() {
+                    fts_telemetry::counter("coordinator.jobs.completed", 1);
+                }
             }
             ids.push(id);
         }
         fts_telemetry::counter("server.jobs.admitted", ids.len() as u64);
-        if queued_any {
+        if !reg.pending.is_empty() {
             self.work_ready.notify_all();
         }
         Ok(ids)
     }
 
-    /// One worker thread's loop: pull queued jobs and run them until the
-    /// queue is empty *and* the service is draining. Workers never abandon
-    /// a started job, which is what makes shutdown lossless.
+    /// One simulation thread's loop: pull queued jobs and run them until
+    /// the queue is empty *and* the service is draining. Threads never
+    /// abandon a started job, which is what makes shutdown lossless.
     pub fn worker_loop(&self) {
         loop {
             let (id, mut job, cancel, key, mode, out, waveform) = {
-                let mut reg = self.registry.lock().expect("registry poisoned");
+                let mut reg = self.lock();
                 loop {
                     if let Some(id) = reg.pending.pop_front() {
                         let entry = reg.jobs.get_mut(&id).expect("pending id registered");
@@ -556,16 +716,7 @@ impl JobService {
             // queued — serve the stored bytes instead of recomputing.
             if mode.reads() {
                 if let Some(cached) = self.cache.recheck(key) {
-                    self.finish(id, cached.kind, |entry| {
-                        format!(
-                            "{{\"label\":\"{}\",\"kind\":\"{}\",\"wall_s\":0,\"attempts\":{},\"result\":{}{}}}",
-                            json_escape(&entry.label),
-                            cached.kind,
-                            cached.attempts,
-                            cached.result_json,
-                            cache_member_json(key, true),
-                        )
-                    });
+                    self.finish(id, cached.kind, |entry| hit_row(&entry.label, key, &cached));
                     continue;
                 }
                 // Warm-start: seed Newton from the nearest cached
@@ -579,8 +730,11 @@ impl JobService {
                 }
             }
 
+            let Backend::Local(engine) = &self.backend else {
+                unreachable!("only a local service queues jobs");
+            };
             let warmed = job.initial.is_some();
-            let (outcome, stats) = self.engine.run_single(&job, &cancel);
+            let (outcome, stats) = engine.run_single(&job, &cancel);
 
             if outcome.is_success() && mode.writes() {
                 self.cache.insert(
@@ -615,56 +769,48 @@ impl JobService {
         }
     }
 
-    /// Completes job `id`: renders its row (under the registry lock, so
-    /// the closure sees the entry's metadata), flips it Done, and applies
-    /// the done-row retention bound.
+    /// Completes running job `id`: renders its row (under the registry
+    /// lock, so the closure sees the entry's metadata) and retires it.
     fn finish(&self, id: u64, kind: &'static str, row: impl FnOnce(&JobEntry) -> String) {
-        let mut reg = self.registry.lock().expect("registry poisoned");
+        let mut reg = self.lock();
         let entry = reg.jobs.get_mut(&id).expect("running id registered");
         let row = row(entry);
-        entry.state = JobState::Done { kind, row };
+        entry.state = JobState::Done {
+            kind: kind.to_owned(),
+            row,
+            at: None,
+        };
         reg.running -= 1;
-        reg.completed += 1;
-        reg.done_order.push_back(id);
-        while reg.done_order.len() > self.cache_entries {
-            let evicted = reg.done_order.pop_front().expect("non-empty");
-            reg.jobs.remove(&evicted);
-        }
+        reg.retire(id);
         self.job_done.notify_all();
     }
 
     /// The status document for `GET /v1/jobs/{id}`, or `None` for ids
     /// that are unknown or whose finished result has been evicted by the
-    /// `cache_entries` done-row bound.
+    /// `cache_entries` done-row bound. A remote job's status is fetched
+    /// from its worker (and the job re-placed if the worker lost it).
     ///
     /// Done jobs embed the full report row — label, timing stats, and the
     /// deterministic `result` object rendered by
     /// [`outcome_json`](crate::wire::outcome_json).
     pub fn status_json(&self, id: u64) -> Option<String> {
-        let reg = self.registry.lock().expect("registry poisoned");
-        let entry = reg.jobs.get(&id)?;
-        Some(match &entry.state {
-            JobState::Queued => format!(
-                "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"label\":\"{}\",\"status\":\"queued\"}}",
-                json_escape(&entry.label)
-            ),
-            JobState::Running => format!(
-                "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"label\":\"{}\",\"status\":\"running\"}}",
-                json_escape(&entry.label)
-            ),
-            JobState::Done { kind, row } => format!(
-                "{{\"schema_version\":{SCHEMA_VERSION},\"id\":{id},\"status\":\"done\",\"kind\":\"{kind}\",\"job\":{row}}}"
-            ),
-        })
+        match &self.backend {
+            Backend::Remote(fleet) => self.remote_status(fleet, id),
+            Backend::Local(_) => Some(self.lock().jobs.get(&id)?.status_json(id, None)),
+        }
     }
 
     /// The flight-recorder journal for `GET /v1/jobs/{id}/trace`.
     ///
     /// Works for jobs in any state — a running job serves the events it
     /// has produced so far. `chrome` selects the Chrome trace-event
-    /// rendering (`?format=chrome`) over the `fts-trace/1` journal.
+    /// rendering (`?format=chrome`) over the `fts-trace/1` journal. A
+    /// remote job's journal is fetched from the worker it ran on.
     pub fn trace_json(&self, id: u64, chrome: bool) -> TraceLookup {
-        let reg = self.registry.lock().expect("registry poisoned");
+        if let Backend::Remote(fleet) = &self.backend {
+            return self.remote_trace(fleet, id, chrome);
+        }
+        let reg = self.lock();
         let Some(entry) = reg.jobs.get(&id) else {
             return TraceLookup::Unknown;
         };
@@ -672,46 +818,45 @@ impl JobService {
             return TraceLookup::Disabled;
         };
         let snap = trace.snapshot();
-        let doc = if chrome {
+        TraceLookup::Journal(if chrome {
             trace_chrome_json(id, &entry.label, &snap)
         } else {
-            let status = match &entry.state {
-                JobState::Queued => "queued",
-                JobState::Running => "running",
-                JobState::Done { .. } => "done",
-            };
-            trace_journal_json(id, &entry.label, status, &snap)
-        };
-        TraceLookup::Journal(doc)
+            trace_journal_json(id, &entry.label, entry.state.listed(), &snap)
+        })
     }
 
-    /// Fires the job's [`CancelToken`] for `DELETE /v1/jobs/{id}`.
-    /// Returns the job's status after the cancel request, or `None` for
-    /// unknown (or evicted) ids.
+    /// Cancels job `id` for `DELETE /v1/jobs/{id}`. Returns the job's
+    /// status when the cancel arrived, or `None` for unknown (or evicted)
+    /// ids.
     ///
     /// Cancelling is cooperative and idempotent: a queued or running job
     /// stops at its next cancellation point and reports
     /// `"kind":"cancelled"`; a job that already finished keeps its result
     /// (the cancel-vs-complete race is settled by whoever got there
-    /// first).
+    /// first). A remote cancel is forwarded to the job's worker, and an
+    /// acknowledged cancel is binding: the job is never placed again.
     pub fn cancel(&self, id: u64) -> Option<&'static str> {
-        let reg = self.registry.lock().expect("registry poisoned");
+        if let Backend::Remote(fleet) = &self.backend {
+            return self.remote_cancel(fleet, id);
+        }
+        let reg = self.lock();
         let entry = reg.jobs.get(&id)?;
         entry.cancel.cancel();
         fts_telemetry::counter("server.jobs.cancel_requests", 1);
-        Some(match &entry.state {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done { .. } => "done",
-        })
+        Some(entry.state.listed())
     }
 
     /// Marks the service draining and blocks until every admitted job has
-    /// finished. After this returns, workers have exited (or are about to,
-    /// having observed the drain flag with an empty queue).
+    /// finished: locally, until the queue is empty and no job runs (the
+    /// simulation threads then exit); remotely, by polling every open job
+    /// to completion before cascading the shutdown to the fleet.
     pub fn drain(&self) {
-        let mut reg = self.registry.lock().expect("registry poisoned");
+        let mut reg = self.lock();
         reg.draining = true;
+        if let Backend::Remote(fleet) = &self.backend {
+            drop(reg);
+            return self.remote_drain(fleet);
+        }
         self.work_ready.notify_all();
         while !reg.pending.is_empty() || reg.running > 0 {
             reg = self.job_done.wait(reg).expect("registry poisoned");
@@ -721,27 +866,24 @@ impl JobService {
     /// One page of `GET /v1/jobs`: summary rows for registered jobs with
     /// id > `cursor`, ascending by id, at most `limit` of them. `state`
     /// (already validated by the route layer) keeps only jobs in that
-    /// state. The page carries `next_cursor` — the last id returned —
+    /// state. Rows of remote jobs name the worker that holds (or ran)
+    /// them. The page carries `next_cursor` — the last id returned —
     /// exactly when more matching jobs exist beyond it.
     pub fn list_json(&self, state: Option<&str>, cursor: Option<u64>, limit: usize) -> String {
-        let reg = self.registry.lock().expect("registry poisoned");
-        let mut ids: Vec<u64> = reg.jobs.keys().copied().collect();
+        let reg = self.lock();
+        let mut ids: Vec<u64> = reg
+            .jobs
+            .keys()
+            .copied()
+            .filter(|&id| cursor.is_none_or(|c| id > c))
+            .collect();
         ids.sort_unstable();
         let mut rows = Vec::new();
-        let mut truncated = false;
         let mut last_id = None;
+        let mut truncated = false;
         for id in ids {
-            if let Some(c) = cursor {
-                if id <= c {
-                    continue;
-                }
-            }
             let entry = &reg.jobs[&id];
-            let (status, kind) = match &entry.state {
-                JobState::Queued => ("queued", None),
-                JobState::Running => ("running", None),
-                JobState::Done { kind, .. } => ("done", Some(*kind)),
-            };
+            let status = entry.state.listed();
             if state.is_some_and(|want| want != status) {
                 continue;
             }
@@ -753,39 +895,74 @@ impl JobService {
                 "{{\"id\":{id},\"label\":\"{}\",\"status\":\"{status}\"",
                 json_escape(&entry.label)
             );
-            if let Some(kind) = kind {
-                row.push_str(&format!(",\"kind\":\"{kind}\""));
+            let at = match &entry.state {
+                JobState::Routed { at, .. } | JobState::Done { at: Some(at), .. } => Some(at),
+                _ => None,
+            };
+            if let (Some(at), Some(fleet)) = (at, self.fleet()) {
+                let addr = json_escape(fleet.addr(at.worker));
+                row.push_str(&format!(",\"worker\":\"{addr}\""));
+            }
+            if let JobState::Done { kind, .. } = &entry.state {
+                row.push_str(&format!(",\"kind\":\"{}\"", json_escape(kind)));
             }
             row.push('}');
             rows.push(row);
             last_id = Some(id);
         }
-        list_page_json(&rows, truncated, last_id)
+        let mut doc = format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},\"jobs\":[{}]",
+            rows.join(",")
+        );
+        if let (true, Some(last)) = (truncated, last_id) {
+            doc.push_str(&format!(",\"next_cursor\":{last}"));
+        }
+        doc.push('}');
+        doc
     }
 
-    /// The result cache's counter snapshot (for `/metrics` and
-    /// aggregation by the coordinator).
+    /// The result cache's counter snapshot (for `/metrics`).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// The `GET /v1/cache` document.
+    /// The `GET /v1/cache` document: this node's counters, or on a
+    /// coordinator the fleet-wide aggregate with a per-node breakdown.
     pub fn cache_stats_json(&self) -> String {
-        cache_stats_json(&self.cache.stats())
+        match self.fleet() {
+            Some(fleet) => fleet.cache_stats_json(self.cache.stats()),
+            None => cache_stats_json(&self.cache.stats()),
+        }
     }
 
     /// Flushes the result cache (and warm-start index) for
-    /// `DELETE /v1/cache`. Counters are cumulative and survive.
-    pub fn cache_flush(&self) {
+    /// `DELETE /v1/cache` — on a coordinator, every reachable worker's
+    /// too — and returns the response document. Counters are cumulative
+    /// and survive.
+    pub fn cache_flush(&self) -> String {
         self.cache.flush();
+        match self.fleet() {
+            Some(fleet) => format!(
+                "{{\"schema_version\":{SCHEMA_VERSION},\"flushed\":true,\"nodes\":{}}}",
+                1 + fleet.flush_caches()
+            ),
+            None => format!("{{\"schema_version\":{SCHEMA_VERSION},\"flushed\":true}}"),
+        }
     }
 
-    /// Live gauges for `/metrics`.
+    /// Live gauges for `/healthz` and `/metrics`.
     pub fn gauges(&self) -> ServiceGauges {
-        let reg = self.registry.lock().expect("registry poisoned");
+        let reg = self.lock();
+        let routed = self.fleet().map_or(0, |_| {
+            reg.jobs
+                .values()
+                .filter(|e| e.state.listed() == "routed")
+                .count()
+        });
         ServiceGauges {
             queued: reg.pending.len(),
             running: reg.running,
+            routed,
             completed: reg.completed,
             done_retained: reg.done_order.len(),
             rejected: self.rejected.load(Ordering::Relaxed),

@@ -403,23 +403,38 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Escapes `s` for embedding in a JSON string literal — the workspace's
+/// one escaper, shared with `fts-telemetry`'s exporters.
+pub use fts_telemetry::json::esc as json_escape;
+
+/// The byte span of top-level member `key`'s value in the JSON object
+/// `text`, exactly as written. This is how the coordinator lifts a
+/// worker's `job` row (and that row's `result`) out of a document
+/// without re-rendering it, so proxied bytes stay identical to the
+/// worker's. `None` when `text` is not a well-formed object up to that
+/// member, or has no such member.
+pub fn member_span(text: &str, key: &str) -> Option<std::ops::Range<usize>> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 1,
+    };
+    p.skip_ws();
+    p.expect(b'{').ok()?;
+    loop {
+        p.skip_ws();
+        let name = p.string().ok()?;
+        p.skip_ws();
+        p.expect(b':').ok()?;
+        p.skip_ws();
+        let start = p.pos;
+        p.value().ok()?;
+        if name == key {
+            return Some(start..p.pos);
         }
+        p.skip_ws();
+        p.expect(b',').ok()?;
     }
-    out
 }
 
 /// Renders one `f64` as a JSON token. JSON has no NaN/Infinity literals,
@@ -1168,6 +1183,23 @@ mod tests {
         assert_eq!(b[2].as_str(), Some("x\n\"y\""));
         let d = doc.get("c").and_then(|c| c.get("d")).unwrap();
         assert_eq!(d.as_f64(), Some(-2000.0));
+    }
+
+    #[test]
+    fn member_span_lifts_values_verbatim() {
+        let doc = r#"{"id":3, "job":{"label":"a\"}","result":{"out_v":1.50}},"n":[1, 2]}"#;
+        let job = &doc[member_span(doc, "job").unwrap()];
+        assert_eq!(job, r#"{"label":"a\"}","result":{"out_v":1.50}}"#);
+        // Nested lookups compose, and number spelling is kept as written.
+        assert_eq!(
+            &job[member_span(job, "result").unwrap()],
+            r#"{"out_v":1.50}"#
+        );
+        assert_eq!(&doc[member_span(doc, "id").unwrap()], "3");
+        assert_eq!(&doc[member_span(doc, "n").unwrap()], "[1, 2]");
+        assert!(member_span(doc, "missing").is_none());
+        assert!(member_span("[1]", "id").is_none());
+        assert!(member_span("{\"a\":}", "a").is_none());
     }
 
     #[test]

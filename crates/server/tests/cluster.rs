@@ -1,22 +1,26 @@
 //! End-to-end coordinator tests against a live in-process fleet:
-//! routing, proxied status with id rewriting, listing, the unified
-//! error envelope, worker-death recovery, and the cascading drain.
+//! routing, proxied status under the coordinator's own ids, listing, the
+//! unified error envelope, worker-death and restart recovery, binding
+//! cancels, and the cascading drain.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use fts_engine::{Engine, SimJob};
 use fts_server::service::{BuiltJob, JobBuilder};
-use fts_server::wire::{outcome_json, JobSource, JobSpec, Json, WireError};
+use fts_server::wire::{member_span, outcome_json, JobSource, JobSpec, Json, WireError};
 use fts_server::{
     ClientError, Coordinator, CoordinatorConfig, Server, ServerConfig, ShutdownReport, WireClient,
 };
+use fts_spice::analysis::TranConfig;
 use fts_spice::netlist::{Netlist, Waveform};
 use fts_spice::CancelToken;
 
 /// The same DC divider the service tests use: out = vdd · R2/(R1+R2),
 /// with the source voltage selectable per job (`divider<mv>`), so
-/// different jobs have distinguishable deterministic results.
+/// different jobs have distinguishable deterministic results. `"slow"`
+/// is the 100k-step RC transient `http_service.rs` uses, to hold a
+/// worker's simulation thread busy.
 struct DividerBuilder;
 
 fn divider_netlist(vdd: f64) -> (Netlist, fts_spice::NodeId) {
@@ -35,6 +39,21 @@ impl JobBuilder for DividerBuilder {
         let JobSource::Function { name, .. } = &spec.source else {
             unreachable!("deck jobs are lowered by build_job, not the builder");
         };
+        if name == "slow" {
+            let mut nl = Netlist::new();
+            let a = nl.node("a");
+            let out = nl.node("out");
+            nl.vsource("V1", a, Netlist::GROUND, Waveform::Dc(1.0))
+                .unwrap();
+            nl.resistor("R1", a, out, 1e4).unwrap();
+            nl.capacitor("C1", out, Netlist::GROUND, 1e-9).unwrap();
+            return Ok(BuiltJob {
+                job: SimJob::transient(nl, TranConfig::fixed(1e-8, 1e-3))
+                    .probes(&[out])
+                    .max_samples(64),
+                out,
+            });
+        }
         let Some(mv) = name
             .strip_prefix("divider")
             .and_then(|s| s.parse::<u32>().ok())
@@ -67,10 +86,17 @@ fn direct_result(mv: u32) -> String {
 type ServerThread = std::thread::JoinHandle<std::io::Result<ShutdownReport>>;
 
 fn start_worker(addr: &str) -> (String, fts_server::ServerHandle, ServerThread) {
+    start_worker_threads(addr, 2)
+}
+
+fn start_worker_threads(
+    addr: &str,
+    workers: usize,
+) -> (String, fts_server::ServerHandle, ServerThread) {
     let server = Server::bind(
         ServerConfig {
             addr: addr.to_owned(),
-            workers: 2,
+            workers,
             conn_workers: 2,
             ..ServerConfig::default()
         },
@@ -449,4 +475,177 @@ fn fleet_down_submissions_answer_no_workers() {
     coord_handle.shutdown();
     let report = coord_thread.join().unwrap().expect("coordinator run");
     assert_eq!(report.jobs_completed, 0);
+}
+
+/// A clean restart reissues remote ids from 0. Job B, re-placed first,
+/// lands on the remote id job A held before the restart; A's next poll
+/// fetches that id and finds B's finished row. The coordinator must
+/// reject a row whose `cache.key` is not A's and re-place A instead of
+/// serving B's result as A's.
+#[test]
+fn restarted_worker_never_serves_one_job_another_jobs_row() {
+    let (w0, h0, t0) = start_worker("127.0.0.1:0");
+    let (client, coord_handle, coord_thread) = start_coordinator(vec![w0.clone()]);
+
+    // Remote ids 0 and 1 on the only worker.
+    let ids = submit_dividers(&client, &[1500, 2500]);
+    h0.shutdown();
+    t0.join().unwrap().expect("worker first run");
+    let (w0_again, h0b, t0b) = start_worker(&w0);
+    assert_eq!(w0_again, w0, "restart must reclaim the same address");
+
+    // The second job is polled first: its 404 re-places it as the
+    // restarted worker's remote id 0 — the id the first job still holds.
+    let second = client.wait_done(ids[1], POLL).expect("second job");
+    assert!(
+        second.contains(&format!("\"result\":{}", direct_result(2500))),
+        "{second}"
+    );
+
+    let first = client.wait_done(ids[0], POLL).expect("first job");
+    assert!(first.contains("\"label\":\"divider1500-0\""), "{first}");
+    assert!(
+        first.contains(&format!("\"result\":{}", direct_result(1500))),
+        "first job served another job's row:\n{first}"
+    );
+
+    coord_handle.shutdown();
+    let report = coord_thread.join().unwrap().expect("coordinator run");
+    assert_eq!(report.jobs_completed, 2);
+    t0b.join().unwrap().expect("worker second run");
+    drop(h0b);
+}
+
+/// A cancel the owning worker acknowledged is binding even when the
+/// worker then restarts and forgets the job: the coordinator closes the
+/// job as cancelled instead of re-placing it and running it again.
+#[test]
+fn acknowledged_cancel_never_reruns_after_a_worker_restart() {
+    let (w0, h0, t0) = start_worker_threads("127.0.0.1:0", 1);
+    let (client, coord_handle, coord_thread) = start_coordinator(vec![w0.clone()]);
+
+    // One simulation thread: the quick job queues behind the slow one.
+    let ids = client
+        .submit_manifest(
+            "{\"jobs\":[{\"function\":\"slow\",\"cache\":\"bypass\"},\
+             {\"function\":\"divider1600\",\"cache\":\"bypass\"}]}",
+        )
+        .expect("submit");
+    let ack = client.cancel(ids[1]).expect("cancel quick job");
+    assert!(ack.contains("\"was\":\"queued\""), "{ack}");
+    // Stop the slow job too, so the restart does not wait for it.
+    client.cancel(ids[0]).expect("cancel slow job");
+
+    // Restart before anyone polls: the cancelled rows die with the old
+    // process, and the restarted worker answers 404 for both ids.
+    h0.shutdown();
+    t0.join().unwrap().expect("worker first run");
+    let (w0_again, h0b, t0b) = start_worker_threads(&w0, 1);
+    assert_eq!(w0_again, w0, "restart must reclaim the same address");
+
+    let status = client.wait_done(ids[1], POLL).expect("quick job");
+    assert!(status.contains("\"kind\":\"cancelled\""), "{status}");
+
+    coord_handle.shutdown();
+    coord_thread.join().unwrap().expect("coordinator run");
+    let worker_report = t0b.join().unwrap().expect("worker second run");
+    assert_eq!(
+        worker_report.jobs_completed, 0,
+        "an acknowledged cancel must not re-run on the restarted worker"
+    );
+    drop(h0b);
+}
+
+/// An empty manifest is the same structured 400 from either role.
+#[test]
+fn empty_manifest_is_the_same_400_from_worker_and_coordinator() {
+    let (w0, h0, t0) = start_worker("127.0.0.1:0");
+    let (coordinator, coord_handle, coord_thread) = start_coordinator(vec![w0.clone()]);
+    let worker = WireClient::new(w0);
+
+    let empty = Some("{\"jobs\":[]}");
+    let from_worker = worker.call("POST", "/v1/jobs", empty).expect("worker");
+    let from_coordinator = coordinator
+        .call("POST", "/v1/jobs", empty)
+        .expect("coordinator");
+    assert_eq!(from_worker.status, 400, "{}", from_worker.body);
+    assert!(
+        from_worker.body.contains("\"code\":\"empty_manifest\""),
+        "{}",
+        from_worker.body
+    );
+    assert_eq!(from_coordinator, from_worker);
+
+    coord_handle.shutdown();
+    coord_thread.join().unwrap().expect("coordinator run");
+    t0.join().unwrap().expect("worker run");
+    drop(h0);
+}
+
+/// A multi-analysis deck is placed whole on one worker; its resubmission
+/// is answered from the coordinator's cache without routing; and a
+/// proxied trace journal carries the coordinator's own id.
+#[test]
+fn coordinator_routes_decks_whole_and_proxies_traces() {
+    let (w0, h0, t0) = start_worker("127.0.0.1:0");
+    let (w1, h1, t1) = start_worker("127.0.0.1:0");
+    let (client, coord_handle, coord_thread) = start_coordinator(vec![w0, w1]);
+    // Job 0 takes id 0, so the deck's analyses get coordinator ids 1 and
+    // 2 — ids no worker ever issues for them.
+    submit_dividers(&client, &[1000]);
+    let deck = "v1 a 0 dc 2\nr1 a out 1k\nr2 out 0 1k\n.op\n.op\n.probe v(out)\n";
+
+    let ids = client.submit_deck(deck).expect("deck submit");
+    assert_eq!(ids, vec![1, 2]);
+    let cold: Vec<String> = ids
+        .iter()
+        .map(|&id| client.wait_done(id, POLL).expect("deck job"))
+        .collect();
+    // The result object's bytes, exactly as served.
+    let result = |body: &str| {
+        let job = &body[member_span(body, "job").unwrap()];
+        job[member_span(job, "result").unwrap()].to_owned()
+    };
+    for body in &cold {
+        let doc = Json::parse(body).unwrap();
+        let out_v = doc.get("job").unwrap().get("result").unwrap().get("out_v");
+        assert!(
+            (out_v.and_then(Json::as_f64).unwrap() - 1.0).abs() < 1e-9,
+            "{body}"
+        );
+    }
+    let page = Json::parse(&client.list(Some("done"), None, None).unwrap()).unwrap();
+    let workers: Vec<&str> = page
+        .get("jobs")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .filter(|row| row.get("id").and_then(Json::as_f64).unwrap() >= 1.0)
+        .map(|row| row.get("worker").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(workers.len(), 2);
+    assert_eq!(workers[0], workers[1], "a deck is never split");
+
+    let journal = Json::parse(&client.trace(ids[1], false).expect("trace")).unwrap();
+    assert_eq!(journal.get("id").and_then(Json::as_f64), Some(2.0));
+    assert_eq!(
+        journal.get("schema").and_then(Json::as_str),
+        Some("fts-trace/1")
+    );
+
+    let routed = routed_total(&client.metrics().unwrap());
+    let hits = client.submit_deck(deck).expect("deck resubmit");
+    for (&id, cold) in hits.iter().zip(&cold) {
+        let hit = client.wait_done(id, POLL).expect("deck hit");
+        assert!(hit.contains("\"hit\":true"), "{hit}");
+        assert_eq!(result(&hit), result(cold));
+    }
+    assert_eq!(routed_total(&client.metrics().unwrap()), routed);
+
+    coord_handle.shutdown();
+    let report = coord_thread.join().unwrap().expect("coordinator run");
+    assert_eq!(report.jobs_completed, 5);
+    t0.join().unwrap().expect("worker 0 run");
+    t1.join().unwrap().expect("worker 1 run");
+    drop((h0, h1));
 }

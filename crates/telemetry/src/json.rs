@@ -1,7 +1,9 @@
-//! Minimal JSON emission helpers (no serde in the offline build).
+//! Minimal JSON emission helpers (no serde in the offline build). The
+//! string escaper is the workspace's only one; `fts-server` re-exports
+//! it as `wire::json_escape`.
 
 /// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

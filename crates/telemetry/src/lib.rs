@@ -50,7 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod metrics;
 mod registry;
 mod report;
