@@ -8,7 +8,7 @@
 //! `--json` suppresses the human-readable report and prints only the JSON
 //! object (one line, stable key order). `--telemetry` additionally writes
 //! the solver/engine telemetry report, a Chrome trace, and the
-//! `BENCH_repro_yield.json` / `BENCH_repro.json` benchmark summaries.
+//! `BENCH_repro_yield.json` benchmark summary.
 
 use std::time::Instant;
 
@@ -130,7 +130,6 @@ fn json_summary(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     let mut tel = telemetry::from_args("repro_yield", &mut argv);
-    tel.mirror_bench("BENCH_repro.json");
     let args = parse_args(argv);
     // Solver statistics ride on the telemetry counters; keep collection on
     // even without --telemetry so the JSON summary can report factor

@@ -1,5 +1,5 @@
 //! Shared helpers for the table/figure regeneration binaries and the
-//! criterion benches.
+//! solver, engine and Monte Carlo gate binaries.
 
 pub mod telemetry;
 

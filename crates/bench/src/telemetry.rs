@@ -17,7 +17,6 @@ use std::time::Instant;
 pub struct Session {
     bin: &'static str,
     out: Option<String>,
-    mirrors: Vec<String>,
     started: Instant,
     mark: Instant,
     phases: Vec<(String, f64)>,
@@ -42,7 +41,6 @@ pub fn from_args(bin: &'static str, args: &mut Vec<String>) -> Session {
     Session {
         bin,
         out,
-        mirrors: Vec::new(),
         started: now,
         mark: now,
         phases: Vec::new(),
@@ -124,12 +122,6 @@ impl Session {
         &self.phases
     }
 
-    /// Also writes the bench summary to `path` (e.g. the canonical
-    /// `BENCH_repro.json` emitted by `repro_yield`).
-    pub fn mirror_bench(&mut self, path: &str) {
-        self.mirrors.push(path.to_owned());
-    }
-
     /// JSON fragment of the phase list: `[{"name":...,"wall_s":...},...]`.
     pub fn phases_json(&self) -> String {
         let items: Vec<String> = self
@@ -162,26 +154,15 @@ impl Session {
         let bench = format!(
             concat!(
                 "{{\"schema\":\"fts-bench/1\",\"bin\":\"{}\",\"wall_s\":{},",
-                "\"phases\":{},\"telemetry_path\":\"{}\"}}"
+                "\"phases\":{}}}"
             ),
             self.bin,
             total_s,
             self.phases_json(),
-            out,
         );
         let bench_path = format!("BENCH_{}.json", self.bin);
         std::fs::write(&bench_path, &bench)?;
-        for m in &self.mirrors {
-            std::fs::write(m, &bench)?;
-        }
-        eprintln!(
-            "[telemetry] report: {out}  trace: {trace_path}  bench: {bench_path}{}",
-            if self.mirrors.is_empty() {
-                String::new()
-            } else {
-                format!(" + {}", self.mirrors.join(" + "))
-            }
-        );
+        eprintln!("[telemetry] report: {out}  trace: {trace_path}  bench: {bench_path}");
         Ok(())
     }
 }

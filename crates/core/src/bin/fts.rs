@@ -61,7 +61,7 @@ fn usage() -> &'static str {
      fts explore <function>\n  \
      fts run <deck.cir|-> [--out <report.json>] [--threads <n>] [--waveform] [--trace]\n  \
      fts batch <manifest.json> [--out <report.json>] [--trace]\n  \
-     fts serve [--addr <ip:port>] [--workers <n>] [--queue-depth <n>] [--cache-entries <n>] [--cache-bytes <n>] [--retain-done <n> (deprecated alias of --cache-entries)] [--trace-events <n>] [--worker] [--coordinator --workers-addrs <a,b,..> [--probe-ms <n>] [--route-attempts <n>] [--no-cascade]]\n  \
+     fts serve [--addr <ip:port>] [--workers <n>] [--queue-depth <n>] [--cache-entries <n>] [--cache-bytes <n>] [--trace-events <n>] [--worker] [--coordinator --workers-addrs <a,b,..> [--probe-ms <n>] [--route-attempts <n>] [--no-cascade]]\n  \
      fts client <ip:port> health|metrics|shutdown|submit <manifest.json|->|status <id>|wait <id>|trace <id> [--chrome]|cancel <id>|cache|cache-flush|list [--state <s>] [--cursor <n>] [--limit <n>]\n  \
      fts help"
 }
@@ -389,7 +389,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut coord = CoordinatorConfig::default();
     let mut coordinator = false;
     let mut worker = false;
-    let mut retain_done_warned = false;
     let mut rest = args.iter();
     while let Some(flag) = rest.next() {
         let value = |rest: &mut std::slice::Iter<String>| -> Result<String, String> {
@@ -423,21 +422,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad --cache-bytes value")?;
                 coord.cache_bytes = config.cache_bytes;
-            }
-            // Deprecated alias: the retained-done bound and the result
-            // cache's entry bound are one knob since PR 10.
-            "--retain-done" => {
-                if !retain_done_warned {
-                    retain_done_warned = true;
-                    eprintln!(
-                        "warning: --retain-done is deprecated; use --cache-entries \
-                         (and --cache-bytes) instead"
-                    );
-                }
-                config.cache_entries = value(&mut rest)?
-                    .parse()
-                    .map_err(|_| "bad --retain-done value")?;
-                coord.cache_entries = config.cache_entries;
             }
             "--trace-events" => {
                 config.trace_events = value(&mut rest)?

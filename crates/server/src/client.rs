@@ -2,13 +2,13 @@
 //! wire protocol.
 //!
 //! One client type serves every consumer that used to hand-roll request
-//! strings — the coordinator's worker connections, the `server_load` and
-//! `server_cluster` benches, the CLI's `fts client` subcommand, and the
-//! integration tests. It speaks exactly the dialect the server does (one
-//! request per connection, explicit `Content-Length`, `Connection: close`
-//! read-to-EOF responses) under the same bounded-resource discipline as
-//! the server side ([`ClientLimits`]): connect/read/write timeouts, an
-//! overall per-request deadline, and a cap on buffered response bytes.
+//! strings — the coordinator's worker connections, the CLI's `fts client`
+//! subcommand, and the integration tests. It speaks exactly the dialect
+//! the server does (one request per connection, explicit
+//! `Content-Length`, `Connection: close` read-to-EOF responses) under the
+//! same bounded-resource discipline as the server side
+//! ([`ClientLimits`]): connect/read/write timeouts, an overall
+//! per-request deadline, and a cap on buffered response bytes.
 //!
 //! Failures are structured: transport problems surface as
 //! [`ClientError::Io`], framing violations as [`ClientError::Protocol`],

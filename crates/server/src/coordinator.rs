@@ -92,8 +92,7 @@ pub struct CoordinatorConfig {
     pub probe_interval: Duration,
     /// Entry bound shared by the coordinator's own result cache and the
     /// finished (proxied-done or synthetic) rows retained before
-    /// oldest-first eviction, as on the single-process server. Replaces
-    /// the former `retain_done` knob (PR 10).
+    /// oldest-first eviction, as on the single-process server.
     pub cache_entries: usize,
     /// Byte bound on the coordinator's result-cache payloads.
     pub cache_bytes: usize,

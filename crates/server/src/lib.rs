@@ -80,7 +80,7 @@ pub use ring::HashRing;
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownReport};
 pub use service::{
     build_job, cache_stats_json, BuiltJob, JobBuilder, JobService, ServiceGauges, SubmitError,
-    TraceLookup, DEFAULT_CACHE_ENTRIES, DEFAULT_RETAIN_DONE, LIST_LIMIT_DEFAULT, LIST_LIMIT_MAX,
+    TraceLookup, DEFAULT_CACHE_ENTRIES, LIST_LIMIT_DEFAULT, LIST_LIMIT_MAX,
 };
 pub use wire::{
     batch_report_json, cache_member_json, job_row_json, json_escape, outcome_json,

@@ -47,8 +47,7 @@ pub struct ServerConfig {
     /// finished job rows retained for `GET /v1/jobs/{id}`; beyond it the
     /// oldest-completed entries are evicted (their ids read as `404`) and
     /// the cache ages out by LRU, bounding memory on a long-running
-    /// server. Replaces the former `retain_done` knob (PR 10), which the
-    /// CLI keeps as a deprecated alias.
+    /// server.
     pub cache_entries: usize,
     /// Byte budget for cached result payloads (the cache's second bound).
     pub cache_bytes: usize,

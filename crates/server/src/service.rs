@@ -365,10 +365,6 @@ pub struct ServiceGauges {
 /// rows (the two retention knobs PR 10 consolidated — see DESIGN.md §13).
 pub const DEFAULT_CACHE_ENTRIES: usize = 256;
 
-/// Deprecated alias of [`DEFAULT_CACHE_ENTRIES`], kept so pre-cache
-/// callers (and the `--retain-done` CLI alias) keep compiling.
-pub const DEFAULT_RETAIN_DONE: usize = DEFAULT_CACHE_ENTRIES;
-
 /// `GET /v1/jobs` page size when the request has no `limit`.
 pub const LIST_LIMIT_DEFAULT: usize = 50;
 
@@ -441,8 +437,9 @@ impl JobService {
     /// once the done set exceeds `cache_entries` the oldest-completed
     /// entries are dropped, so a long-running server's memory cannot grow
     /// with its job history. An evicted id reads as `404` — clients poll
-    /// results promptly (and `server_load` hammers exactly that loop), so
-    /// the cap trades indefinite retrievability for a hard memory bound.
+    /// results promptly (the benchmark's `op_small` drives exactly that
+    /// loop), so the cap trades indefinite retrievability for a hard
+    /// memory bound.
     /// The content cache ages out separately by LRU under the same entry
     /// bound, so a result evicted from the *registry* (by id) is usually
     /// still servable as a cache hit (by content).
@@ -1007,7 +1004,7 @@ mod tests {
     }
 
     fn service(depth: usize) -> JobService {
-        JobService::new(Arc::new(DividerBuilder), depth, DEFAULT_RETAIN_DONE)
+        JobService::new(Arc::new(DividerBuilder), depth, DEFAULT_CACHE_ENTRIES)
     }
 
     fn manifest(n: usize) -> BatchManifest {

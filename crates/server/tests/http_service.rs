@@ -118,9 +118,9 @@ fn raw_call(addr: SocketAddr, bytes: &[u8]) -> ClientResponse {
     })
 }
 
-fn submit_divider(addr: SocketAddr, n: usize) -> Vec<u64> {
-    let jobs: Vec<String> = (0..n).map(|_| r#"{"function":"divider"}"#.into()).collect();
-    let body = format!("{{\"jobs\":[{}]}}", jobs.join(","));
+/// Submits one manifest holding `specs` and returns the minted ids.
+fn submit(addr: SocketAddr, specs: &[&str]) -> Vec<u64> {
+    let body = format!("{{\"jobs\":[{}]}}", specs.join(","));
     let resp = http_call(addr, "POST", "/v1/jobs", Some(&body)).expect("submit");
     assert_eq!(resp.status, 202, "{}", resp.body);
     Json::parse(&resp.body)
@@ -131,6 +131,10 @@ fn submit_divider(addr: SocketAddr, n: usize) -> Vec<u64> {
         .iter()
         .map(|v| v.as_f64().unwrap() as u64)
         .collect()
+}
+
+fn submit_divider(addr: SocketAddr, n: usize) -> Vec<u64> {
+    submit(addr, &vec![r#"{"function":"divider"}"#; n])
 }
 
 fn wait_done(addr: SocketAddr, id: u64) -> String {
@@ -366,16 +370,7 @@ fn out_v_of(body: &str) -> f64 {
 }
 
 fn submit_one(addr: SocketAddr, spec: &str) -> u64 {
-    let body = format!("{{\"jobs\":[{spec}]}}");
-    let resp = http_call(addr, "POST", "/v1/jobs", Some(&body)).expect("submit");
-    assert_eq!(resp.status, 202, "{}", resp.body);
-    Json::parse(&resp.body)
-        .unwrap()
-        .get("ids")
-        .and_then(Json::as_array)
-        .unwrap()[0]
-        .as_f64()
-        .unwrap() as u64
+    submit(addr, &[spec])[0]
 }
 
 #[test]
@@ -461,6 +456,36 @@ fn cache_hit_serves_byte_identical_result() {
     let post = wait_done(addr, id);
     assert!(post.contains("\"hit\":false"), "{post}");
 
+    // A replayed manifest is served from the cache: four distinct jobs
+    // solved one at a time, then the same 4-job manifest 19 more times,
+    // read 76 hits over 80 lookups on this server's own counters.
+    let counters = || {
+        let stats = http_call(addr, "GET", "/v1/cache", None).unwrap();
+        let doc = Json::parse(&stats.body).unwrap();
+        let field = |name: &str| doc.get(name).and_then(Json::as_f64).unwrap();
+        (field("hits"), field("misses"))
+    };
+    http_call(addr, "DELETE", "/v1/cache", None).unwrap();
+    let (hits0, misses0) = counters();
+    let specs = ["divider", "inv1000", "inv2000", "inv3000"]
+        .map(|name| format!(r#"{{"function":"{name}"}}"#));
+    let specs = specs.each_ref().map(String::as_str);
+    for spec in specs {
+        wait_done(addr, submit_one(addr, spec));
+    }
+    for _ in 1..20 {
+        for id in submit(addr, &specs) {
+            wait_done(addr, id);
+        }
+    }
+    let (hits, misses) = counters();
+    let (hits, misses) = (hits - hits0, misses - misses0);
+    let hit_ratio = hits / (hits + misses);
+    assert!(
+        hit_ratio >= 0.9,
+        "hit ratio {hit_ratio} ({hits} hits, {misses} misses) on a replayed manifest"
+    );
+
     handle.shutdown();
     thread.join().unwrap().unwrap();
 }
@@ -520,6 +545,39 @@ fn warm_started_miss_matches_cold_solution() {
             .contains("fts_histogram_count{name=\"cache.warm.newton_iterations\"}"),
         "no warm-start telemetry in:\n{}",
         resp.body
+    );
+
+    // Warm starts save Newton iterations. After a flush, supplies farther
+    // apart than the warm index's nearness guard each solve cold, and
+    // every 5 mV step past the last of them is seeded by its predecessor.
+    // A job's count is the `a` of its own journal's `op_solved` event,
+    // not the process-wide `/metrics` histograms other tests also write.
+    http_call(addr, "DELETE", "/v1/cache", None).unwrap();
+    let mean_iterations = |supplies_mv: &[u32]| {
+        let total: f64 = supplies_mv
+            .iter()
+            .map(|mv| {
+                let id = submit_one(addr, &format!(r#"{{"function":"inv{mv}"}}"#));
+                wait_done(addr, id);
+                let trace = http_call(addr, "GET", &format!("/v1/jobs/{id}/trace"), None).unwrap();
+                Json::parse(&trace.body)
+                    .unwrap()
+                    .get("events")
+                    .and_then(Json::as_array)
+                    .unwrap()
+                    .iter()
+                    .find(|e| e.get("kind").and_then(Json::as_str) == Some("op_solved"))
+                    .and_then(|e| e.get("a").and_then(Json::as_f64))
+                    .unwrap_or_else(|| panic!("no op_solved event in {}", trace.body))
+            })
+            .sum();
+        total / supplies_mv.len() as f64
+    };
+    let cold = mean_iterations(&[1000, 1500, 2250, 3400]);
+    let warm = mean_iterations(&(1..=16).map(|k| 2250 + 5 * k).collect::<Vec<_>>());
+    assert!(
+        warm < cold,
+        "warm-started mean {warm} Newton iterations is not below the cold mean {cold}"
     );
 
     handle.shutdown();

@@ -961,8 +961,10 @@ impl EnsembleSystem {
 }
 
 /// Size (in unknowns) from which `SolverKind::Auto` picks the sparse
-/// engine; below it the dense oracle is faster (see the
-/// `sparse_solver` criterion bench for the measured crossover).
+/// engine; below it the dense oracle was faster in the dense-vs-sparse
+/// crossover measured when the sparse engine landed (CHANGES.md). The
+/// benchmark's `op_small` workload reports the share of solves that run
+/// dense as `spice.dense_share`.
 pub(crate) const SPARSE_THRESHOLD: usize = 24;
 
 /// Per-analysis solver state, reused across Newton iterations, homotopy

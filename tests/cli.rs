@@ -90,7 +90,6 @@ fn help_lists_every_flag_each_subcommand_parses() {
                 "--queue-depth",
                 "--cache-entries",
                 "--cache-bytes",
-                "--retain-done",
                 "--trace-events",
                 "--worker",
                 "--coordinator",
@@ -113,6 +112,16 @@ fn help_lists_every_flag_each_subcommand_parses() {
             );
         }
     }
+
+    // `--retain-done` is not a flag: `fts serve` must exit non-zero and
+    // name it rather than start serving.
+    let out = fts()
+        .args(["serve", "--retain-done", "8"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "--retain-done must be rejected");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--retain-done"), "{err}");
 
     // `--help` and `-h` print the same text and also exit 0.
     for alias in ["--help", "-h"] {
