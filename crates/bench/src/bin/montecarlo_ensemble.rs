@@ -1,7 +1,9 @@
 //! Lockstep-ensemble Monte Carlo benchmark: the XOR3 yield analysis run
 //! scalar-sequential and ensemble-sequential *in the same process*, with
 //! three correctness gates and a throughput comparison, written to
-//! `BENCH_montecarlo_ensemble.json`.
+//! `BENCH_montecarlo_ensemble.json` together with the run's phase times.
+//! That record is the only file written there: `--telemetry` adds the
+//! telemetry report and trace, not a second summary.
 //!
 //! Usage: `montecarlo_ensemble [--trials N] [--seed S] [--width K]
 //! [--defect-prob P] [--out PATH] [--telemetry <path.json>]`
@@ -287,7 +289,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\"agreement\":{{\"counts_equal\":{},\"max_stat_deviation_v\":{},\"ok\":{}}},",
             "\"bit_reproducible\":{},",
             "\"ensemble_telemetry\":{{\"lanes\":{},\"lockstep_iterations\":{},",
-            "\"scalar_fallback\":{},\"factors\":{},\"solves\":{},\"lane_utilization_mean\":{}}}}}"
+            "\"scalar_fallback\":{},\"factors\":{},\"solves\":{},\"lane_utilization_mean\":{}}},",
+            "\"phases\":{}}}"
         ),
         args.trials,
         args.seed,
@@ -316,10 +319,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snap.counter("spice.ensemble.factor"),
         snap.counter("spice.ensemble.solve"),
         lane_util,
+        tel.phases_json(),
     );
     std::fs::write(&args.out, &json)?;
     println!("\nwrote {}:\n{json}", args.out);
-    tel.finish()?;
+    tel.finish_report()?;
     telemetry::solver_stats_done(counters_here);
 
     if !twin_ok {

@@ -3,43 +3,6 @@
 
 pub mod telemetry;
 
-/// Formats a row of f64 values with a label for aligned console tables.
-pub fn format_row(label: &str, values: &[f64], width: usize, precision: usize) -> String {
-    let mut s = format!("{label:<8}");
-    for v in values {
-        s.push_str(&format!(" {v:>width$.precision$e}"));
-    }
-    s
-}
-
-/// Formats a row of integers.
-pub fn format_int_row(label: &str, values: &[u64], width: usize) -> String {
-    let mut s = format!("{label:<8}");
-    for v in values {
-        s.push_str(&format!(" {v:>width$}"));
-    }
-    s
-}
-
-/// Writes series data as CSV to the given writer.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the writer.
-pub fn write_csv<W: std::io::Write>(
-    mut w: W,
-    headers: &[&str],
-    columns: &[&[f64]],
-) -> std::io::Result<()> {
-    writeln!(w, "{}", headers.join(","))?;
-    let rows = columns.iter().map(|c| c.len()).min().unwrap_or(0);
-    for r in 0..rows {
-        let row: Vec<String> = columns.iter().map(|c| format!("{:.6e}", c[r])).collect();
-        writeln!(w, "{}", row.join(","))?;
-    }
-    Ok(())
-}
-
 /// Prints a Figs. 5–7-style device figure: the three §III-B sweeps of the
 /// HfO2 variant (per terminal) and the Vth / on-off summary for both
 /// dielectrics, with paper values alongside.
@@ -100,25 +63,5 @@ pub fn print_device_figure(figure: &str, kind: fts_device::DeviceKind) {
             t.on_off_ratio,
             r.swing_mv_per_dec
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rows_format() {
-        assert!(format_row("x", &[1.0, 2.0], 10, 2).contains("1.00e0"));
-        assert!(format_int_row("y", &[42], 6).contains("42"));
-    }
-
-    #[test]
-    fn csv_round() {
-        let mut buf = Vec::new();
-        write_csv(&mut buf, &["t", "v"], &[&[0.0, 1.0], &[5.0, 6.0]]).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.starts_with("t,v\n"));
-        assert_eq!(s.lines().count(), 3);
     }
 }

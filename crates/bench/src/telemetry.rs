@@ -9,7 +9,8 @@
 //! * the merged telemetry report (`fts-telemetry/1` JSON) at the given path;
 //! * a Chrome trace (`<path>.trace.json`) loadable in `chrome://tracing`;
 //! * a benchmark summary `BENCH_<bin>.json` in the working directory with
-//!   total and per-phase wall times.
+//!   total and per-phase wall times — unless the binary writes its own
+//!   record there and closes with [`Session::finish_report`].
 
 use std::time::Instant;
 
@@ -140,17 +141,9 @@ impl Session {
     /// Propagates I/O failures writing any artifact.
     pub fn finish(self) -> std::io::Result<()> {
         let total_s = self.started.elapsed().as_secs_f64();
-        let Some(out) = self.out.clone() else {
+        let Some((out, trace_path)) = self.write_report()? else {
             return Ok(());
         };
-        let report = fts_telemetry::snapshot();
-        fts_telemetry::set_enabled(false);
-        fts_telemetry::reset();
-
-        std::fs::write(&out, report.to_json())?;
-        let trace_path = format!("{out}.trace.json");
-        std::fs::write(&trace_path, report.to_chrome_trace())?;
-
         let bench = format!(
             concat!(
                 "{{\"schema\":\"fts-bench/1\",\"bin\":\"{}\",\"wall_s\":{},",
@@ -164,6 +157,36 @@ impl Session {
         std::fs::write(&bench_path, &bench)?;
         eprintln!("[telemetry] report: {out}  trace: {trace_path}  bench: {bench_path}");
         Ok(())
+    }
+
+    /// [`finish`](Session::finish) without the bench summary, for a bin
+    /// that writes its own `BENCH_*.json` record (carrying
+    /// [`phases_json`](Session::phases_json)): that record stays the one
+    /// file at its path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures writing the report or trace.
+    pub fn finish_report(self) -> std::io::Result<()> {
+        if let Some((out, trace_path)) = self.write_report()? {
+            eprintln!("[telemetry] report: {out}  trace: {trace_path}");
+        }
+        Ok(())
+    }
+
+    /// Writes the telemetry report and Chrome trace and disables
+    /// collection, returning both paths; `None` when inactive.
+    fn write_report(&self) -> std::io::Result<Option<(String, String)>> {
+        let Some(out) = &self.out else {
+            return Ok(None);
+        };
+        let report = fts_telemetry::snapshot();
+        fts_telemetry::set_enabled(false);
+        fts_telemetry::reset();
+        std::fs::write(out, report.to_json())?;
+        let trace_path = format!("{out}.trace.json");
+        std::fs::write(&trace_path, report.to_chrome_trace())?;
+        Ok(Some((out.clone(), trace_path)))
     }
 }
 

@@ -17,11 +17,13 @@ use crate::sink::WaveformSink;
 /// affects only wall-clock time, never results). Each job gets a
 /// cooperative [`CancelToken`] combining the batch-wide kill switch with
 /// the job's own deadline; tokens are checked inside every Newton
-/// iteration and at every transient timestep.
+/// iteration and at every transient timestep. Before scheduling, jobs
+/// whose netlists use the sparse solver are grouped by MNA sparsity
+/// pattern, and every group of two or more shares one symbolic
+/// factorization.
 #[derive(Debug, Clone)]
 pub struct Engine {
     threads: usize,
-    share_symbolic: bool,
 }
 
 impl Engine {
@@ -29,22 +31,12 @@ impl Engine {
     pub fn new() -> Engine {
         Engine {
             threads: executor::auto_threads(),
-            share_symbolic: true,
         }
     }
 
     /// Sets the worker count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Engine {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the per-topology symbolic pre-pass (on by
-    /// default): before scheduling, jobs whose netlists use the sparse
-    /// solver are grouped by MNA sparsity pattern, and every group of two
-    /// or more shares one symbolic factorization.
-    pub fn share_symbolic(mut self, on: bool) -> Engine {
-        self.share_symbolic = on;
         self
     }
 
@@ -69,9 +61,7 @@ impl Engine {
         if fts_telemetry::enabled() {
             fts_telemetry::record("engine.queue.depth", jobs.len() as f64);
         }
-        if self.share_symbolic {
-            share_symbolics(&mut jobs);
-        }
+        share_symbolics(&mut jobs);
 
         let in_flight = AtomicU64::new(0);
         let indices: Vec<usize> = (0..jobs.len()).collect();

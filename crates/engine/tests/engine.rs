@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use fts_engine::{Engine, RetryPolicy, SimJob, SimOutcome};
 use fts_spice::analysis::TranConfig;
 use fts_spice::netlist::{Netlist, SolverKind, Waveform};
-use fts_spice::CancelToken;
+use fts_spice::{CancelToken, Simulator};
 
 /// An RC ladder with `stages` stages driven by a pulse — enough state to
 /// make transients non-trivial, parameterized so different jobs differ.
@@ -160,20 +160,23 @@ fn ladder_policy_matches_full_policy_on_easy_circuits() {
 
 #[test]
 fn symbolic_sharing_does_not_change_results() {
-    let sparse_batch = |share: bool| {
-        let jobs: Vec<SimJob> = (0..4)
-            .map(|k| {
-                let mut nl = rc_ladder(30, 1.0e3 * (1.0 + k as f64));
-                nl.set_solver(SolverKind::Sparse);
-                SimJob::op(nl)
-            })
-            .collect();
-        Engine::new().threads(2).share_symbolic(share).run(jobs)
-    };
-    let shared = sparse_batch(true);
-    let unshared = sparse_batch(false);
-    assert_eq!(shared.outcomes, unshared.outcomes);
+    // Four same-topology sparse jobs share one symbolic factorization in
+    // the engine's pre-pass; a lone `Simulator::op` shares nothing and
+    // analyzes its own. The results must not differ by a bit.
+    let netlists: Vec<Netlist> = (0..4)
+        .map(|k| {
+            let mut nl = rc_ladder(30, 1.0e3 * (1.0 + k as f64));
+            nl.set_solver(SolverKind::Sparse);
+            nl
+        })
+        .collect();
+    let jobs = netlists.iter().cloned().map(SimJob::op).collect();
+    let shared = Engine::new().threads(2).run(jobs);
     assert_eq!(shared.succeeded(), 4);
+    for (outcome, nl) in shared.outcomes.iter().zip(&netlists) {
+        let alone = Simulator::new(nl).op().expect("op");
+        assert_eq!(outcome, &SimOutcome::Op(alone));
+    }
 }
 
 #[test]

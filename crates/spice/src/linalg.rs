@@ -457,16 +457,38 @@ impl SparseLu {
     ///
     /// Panics if `a`'s pattern differs from the symbolic analysis.
     pub fn factor(&mut self, a: &SparseMatrix) -> Result<(), SpiceError> {
+        self.factor_values(a, &a.values)
+    }
+
+    /// [`factor`](SparseLu::factor) for a one-lane ensemble: its value
+    /// array, slot-major at one lane, is factored in place.
+    ///
+    /// # Errors
+    ///
+    /// As for [`factor`](SparseLu::factor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` has more than one lane or its pattern differs from
+    /// the symbolic analysis.
+    pub fn factor_lane(&mut self, a: &SparseMatrixEnsemble) -> Result<(), SpiceError> {
+        assert_eq!(a.lanes(), 1, "factor_lane takes a one-lane ensemble");
+        self.factor_values(a.pattern(), a.values())
+    }
+
+    /// Factors the matrix with `pattern`'s structure and `values`, one
+    /// value per structural nonzero.
+    fn factor_values(&mut self, pattern: &SparseMatrix, values: &[f64]) -> Result<(), SpiceError> {
         assert!(
-            self.symbolic.matches(a),
+            self.symbolic.matches(pattern),
             "matrix pattern does not match symbolic analysis"
         );
-        if self.factored && self.refactor(a) {
+        if self.factored && self.refactor(values) {
             fts_telemetry::counter("spice.sparse.factor", 1);
             fts_telemetry::counter("spice.sparse.refactor", 1);
             return Ok(());
         }
-        self.factor_fresh(a)
+        self.factor_fresh(values)
     }
 
     /// Numeric-only refactorization: reuses the previous factorization's
@@ -474,13 +496,13 @@ impl SparseLu {
     /// for any matrix with the symbolic's pattern under the same pivot
     /// order. Returns `false` — with the scatter workspace cleaned — when
     /// a pivot degraded and full pivoting must rerun.
-    fn refactor(&mut self, a: &SparseMatrix) -> bool {
+    fn refactor(&mut self, values: &[f64]) -> bool {
         let n = self.symbolic.n;
         let sym = Arc::clone(&self.symbolic);
         for k in 0..n {
             // Scatter A(:, q[k]) into pivot-row coordinates.
             for p in sym.cptr[k]..sym.cptr[k + 1] {
-                self.x[self.pinv[sym.crow[p]] as usize] = a.values[sym.cslot[p]];
+                self.x[self.pinv[sym.crow[p]] as usize] = values[sym.cslot[p]];
             }
             // x = L \ A(:, q[k]): the stored U rows of this column are
             // already in topological order, so replaying them in storage
@@ -524,7 +546,7 @@ impl SparseLu {
     /// Full Gilbert–Peierls factorization with partial pivoting; also
     /// (re)establishes the `L`/`U` structure [`refactor`](Self::refactor)
     /// replays.
-    fn factor_fresh(&mut self, a: &SparseMatrix) -> Result<(), SpiceError> {
+    fn factor_fresh(&mut self, values: &[f64]) -> Result<(), SpiceError> {
         let n = self.symbolic.n;
         let first_factor = !self.factored && self.li.is_empty();
         self.factored = false;
@@ -550,7 +572,7 @@ impl SparseLu {
             }
             // Numeric step: x = L \ A(:, q[k]), in topological order.
             for p in col_entries {
-                self.x[sym.crow[p]] = a.values[sym.cslot[p]];
+                self.x[sym.crow[p]] = values[sym.cslot[p]];
             }
             for t in top..n {
                 let j = self.xi[t];

@@ -1,21 +1,34 @@
 //! MNA device stamping and the shared Newton kernel.
 //!
-//! Two stamping paths exist:
+//! Each device is described once, and every stamper reads that one
+//! description:
 //!
-//! * the dense reference path ([`stamp_all`] into a [`Matrix`]), kept as
-//!   the oracle for small systems and for the `solver_compare` tests, and
-//! * the sparse hot path ([`SparseSystem`]), where every device resolves
-//!   its matrix slots once at build time and each Newton iteration rewrites
-//!   values in place — no allocation, no hashing, no binary search.
+//! * [`MosBias`] orients a MOSFET (the lower of drain and source acts as
+//!   the source) and linearizes it, level 1 or level 3;
+//! * [`device_entries`] lists the matrix entries a device stamps; the
+//!   sparse pattern ([`mna_pattern`]) and the slot plans are both built
+//!   from it.
 //!
-//! [`SolverWorkspace`] picks between them from the netlist's
-//! [`SolverKind`](crate::netlist::SolverKind) and size.
+//! One plan stamper, [`EnsembleSystem`], writes every sparse Newton
+//! system: devices resolve their matrix slots once at build time and each
+//! iteration rewrites K lanes of values in place — no allocation, no
+//! hashing, no binary search. A scalar sparse solve is its one-lane
+//! instance; [`OpEnsemble`](crate::ensemble::OpEnsemble) runs it at K
+//! lanes. Beside it, [`stamp_all`] stamps the dense [`Matrix`]: the
+//! production path below [`SPARSE_THRESHOLD`] unknowns and the oracle of
+//! the `solver_compare` tests. [`stamp_ac`] stamps the complex
+//! small-signal system.
+//!
+//! [`SolverWorkspace`] picks dense or sparse per netlist
+//! ([`Netlist::uses_sparse_solver`]), and [`damped_update`] is the one
+//! Newton update that [`newton`] and every ensemble lane apply.
 
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
-use crate::linalg::{Matrix, SparseLu, SparseMatrix, Symbolic};
-use crate::netlist::{Element, MosParams, Netlist, SolverKind};
+use crate::complex::{CMatrix, Complex};
+use crate::linalg::{Matrix, SparseLu, SparseMatrix, SparseMatrixEnsemble, Symbolic};
+use crate::netlist::{Element, MosParams, Netlist, NodeId};
 use crate::SpiceError;
 
 /// How capacitors are handled.
@@ -34,6 +47,21 @@ pub(crate) struct CapState {
     pub i: f64,
 }
 
+impl CapState {
+    /// The companion model of a `farads` capacitor stepping `dt` from this
+    /// state: conductance `g` and current `ieq`, with `i = g·v + ieq`
+    /// flowing a → b.
+    fn companion(self, farads: f64, dt: f64, trapezoidal: bool) -> (f64, f64) {
+        if trapezoidal {
+            let g = 2.0 * farads / dt;
+            (g, -(g * self.v + self.i))
+        } else {
+            let g = farads / dt;
+            (g, -g * self.v)
+        }
+    }
+}
+
 pub(crate) struct StampContext<'a> {
     pub t: f64,
     pub cap_mode: CapMode,
@@ -46,7 +74,7 @@ pub(crate) struct StampContext<'a> {
 }
 
 /// Index of a node voltage inside the unknown vector (`None` = ground).
-fn vidx(node: crate::netlist::NodeId) -> Option<usize> {
+fn vidx(node: NodeId) -> Option<usize> {
     if node.index() == 0 {
         None
     } else {
@@ -54,7 +82,7 @@ fn vidx(node: crate::netlist::NodeId) -> Option<usize> {
     }
 }
 
-fn voltage(x: &[f64], node: crate::netlist::NodeId) -> f64 {
+fn voltage(x: &[f64], node: NodeId) -> f64 {
     match vidx(node) {
         None => 0.0,
         Some(i) => x[i],
@@ -105,6 +133,89 @@ fn level1(params: &MosParams, vgs: f64, vds: f64) -> (f64, f64, f64) {
     }
 }
 
+/// A MOSFET at its bias point. The switch is symmetric, so the lower of
+/// drain and source acts as the source; the level-1 or level-3 model is
+/// linearized in that orientation. Every stamper reads MOSFETs through
+/// this one type.
+struct MosBias {
+    /// True when the netlist's drain acts as the drain (`vd ≥ vs`).
+    forward: bool,
+    /// The acting drain.
+    drain: NodeId,
+    /// The acting source.
+    source: NodeId,
+    gate: NodeId,
+    vgs: f64,
+    vds: f64,
+    ids: f64,
+    gm: f64,
+    gds: f64,
+}
+
+impl MosBias {
+    /// Biases `element` at the node voltages `volt` reads; `None` when it
+    /// is not a MOSFET.
+    #[inline]
+    fn at(element: &Element, volt: impl Fn(NodeId) -> f64) -> Option<MosBias> {
+        let (d, g, s) = match *element {
+            Element::Nmos { d, g, s, .. } | Element::Nmos3 { d, g, s, .. } => (d, g, s),
+            _ => return None,
+        };
+        let (vd, vg, vs) = (volt(d), volt(g), volt(s));
+        let forward = vd >= vs;
+        let (drain, source, vds, vgs) = if forward {
+            (d, s, vd - vs, vg - vs)
+        } else {
+            (s, d, vs - vd, vg - vd)
+        };
+        let (ids, gm, gds) = match element {
+            Element::Nmos { params, .. } => level1(params, vgs, vds),
+            Element::Nmos3 { params, .. } => params.linearize(vgs, vds),
+            _ => unreachable!("matched a MOSFET above"),
+        };
+        Some(MosBias {
+            forward,
+            drain,
+            source,
+            gate: g,
+            vgs,
+            vds,
+            ids,
+            gm,
+            gds,
+        })
+    }
+
+    /// Constant part of the linearized drain current
+    /// `i = ids + gm·Δvgs + gds·Δvds`, flowing drain → source.
+    #[inline]
+    fn ieq(&self) -> f64 {
+        self.ids - self.gm * self.vgs - self.gds * self.vds
+    }
+
+    /// Calls `add(row, col, value)` for the dense stampers' gm entries:
+    /// current into the acting drain proportional to (vg − vsource).
+    fn gm_entries(&self, mut add: impl FnMut(usize, usize, f64)) {
+        let (id_, is_, ig_) = (vidx(self.drain), vidx(self.source), vidx(self.gate));
+        if let Some(r) = id_ {
+            if let Some(c) = ig_ {
+                add(r, c, self.gm);
+            }
+            if let Some(c) = is_ {
+                add(r, c, -self.gm);
+            }
+        }
+        if let Some(r) = is_ {
+            if let Some(c) = ig_ {
+                add(r, c, -self.gm);
+            }
+            if let Some(c) = is_ {
+                add(r, c, self.gm);
+            }
+        }
+    }
+}
+
 /// Stamps every device into `(a, b)` around the linearization point `x`.
 pub(crate) fn stamp_all(
     netlist: &Netlist,
@@ -128,15 +239,8 @@ pub(crate) fn stamp_all(
                 match ctx.cap_mode {
                     CapMode::Open => {}
                     CapMode::Step { dt, trapezoidal } => {
-                        let st = ctx.cap_states[cap_index];
-                        let (g, ieq) = if trapezoidal {
-                            let g = 2.0 * farads / dt;
-                            (g, -(g * st.v + st.i))
-                        } else {
-                            let g = farads / dt;
-                            (g, -g * st.v)
-                        };
-                        // Companion: i = g·v + ieq flowing a → b.
+                        let (g, ieq) =
+                            ctx.cap_states[cap_index].companion(*farads, dt, trapezoidal);
                         add_conductance(a, vidx(*na), vidx(*nb), g);
                         add_current(b, vidx(*nb), vidx(*na), ieq);
                     }
@@ -163,71 +267,14 @@ pub(crate) fn stamp_all(
             Element::ISource { from, to, wave } => {
                 add_current(b, vidx(*to), vidx(*from), wave.at(ctx.t) * ctx.source_scale);
             }
-            Element::Nmos { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                // Symmetric pass-switch handling: the lower of d/s acts as
-                // the source.
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x, ns);
-                let (ids, gm, gds) = level1(params, vgs, vds_raw);
-                // Linearized drain current: i = ids + gm·Δvgs + gds·Δvds.
-                let ieq = ids - gm * vgs - gds * vds_raw;
-                let (id_, is_, ig_) = (vidx(nd), vidx(ns), vidx(*g));
-                // gds between nd and ns.
-                add_conductance(a, id_, is_, gds + ctx.gmin);
-                // gm contribution: current into nd proportional to (vg−vns).
-                if let Some(r) = id_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, -gm);
-                    }
-                }
-                if let Some(r) = is_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, -gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, gm);
-                    }
-                }
-                // Constant part flows nd → ns.
-                add_current(b, is_, id_, ieq);
-            }
-            Element::Nmos3 { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x, ns);
-                let (ids, gm, gds) = params.linearize(vgs, vds_raw);
-                let ieq = ids - gm * vgs - gds * vds_raw;
-                let (id_, is_, ig_) = (vidx(nd), vidx(ns), vidx(*g));
-                add_conductance(a, id_, is_, gds + ctx.gmin);
-                if let Some(r) = id_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, -gm);
-                    }
-                }
-                if let Some(r) = is_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, -gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, gm);
-                    }
-                }
-                add_current(b, is_, id_, ieq);
+            Element::Nmos { .. } | Element::Nmos3 { .. } => {
+                let m = MosBias::at(&dev.element, |node| voltage(x, node)).expect("a MOSFET");
+                let (id_, is_) = (vidx(m.drain), vidx(m.source));
+                // gds between the acting drain and source.
+                add_conductance(a, id_, is_, m.gds + ctx.gmin);
+                m.gm_entries(|r, c, v| a.add(r, c, v));
+                // Constant part flows drain → source.
+                add_current(b, is_, id_, m.ieq());
             }
         }
     }
@@ -277,10 +324,66 @@ pub(crate) fn init_cap_states(netlist: &Netlist, x: &[f64]) -> Vec<CapState> {
     out
 }
 
+/// The matrix entries `element` stamps, `None` where a terminal is
+/// ground, in the order its [`DevicePlan`] keeps their slots:
+///
+/// * resistor, capacitor: the conductance quadruple
+///   `(a,a) (b,b) (a,b) (b,a)`;
+/// * voltage source: `(+,row) (row,+) (−,row) (row,−)`;
+/// * MOSFET: the `(d,d) (s,s) (d,s) (s,d)` quadruple, then the gm columns
+///   `(d,g) (s,g)` — the union of both bias orientations;
+/// * current source: none.
+///
+/// [`mna_pattern`] is the union of these lists plus the gmin diagonal,
+/// and the plans resolve the same lists, so the two cannot drift apart.
+fn device_entries(element: &Element, nv: usize) -> [Option<(usize, usize)>; 6] {
+    let quad = |i: Option<usize>, j: Option<usize>| [i.zip(i), j.zip(j), i.zip(j), j.zip(i)];
+    match *element {
+        Element::Resistor { a, b, .. } | Element::Capacitor { a, b, .. } => {
+            let [ii, jj, ij, ji] = quad(vidx(a), vidx(b));
+            [ii, jj, ij, ji, None, None]
+        }
+        Element::VSource {
+            plus,
+            minus,
+            branch,
+            ..
+        } => {
+            let (p, m, row) = (vidx(plus), vidx(minus), Some(nv + branch));
+            [p.zip(row), row.zip(p), m.zip(row), row.zip(m), None, None]
+        }
+        Element::ISource { .. } => [None; 6],
+        Element::Nmos { d, g, s, .. } | Element::Nmos3 { d, g, s, .. } => {
+            let (di, si, gi) = (vidx(d), vidx(s), vidx(g));
+            let [ii, jj, ij, ji] = quad(di, si);
+            [ii, jj, ij, ji, di.zip(gi), si.zip(gi)]
+        }
+    }
+}
+
+/// Collects the MNA sparsity pattern of a netlist. Capacitor stamps are
+/// always included so one pattern (and one symbolic analysis) serves both
+/// DC (`CapMode::Open`) and transient companion stamping.
+pub(crate) fn mna_pattern(netlist: &Netlist) -> SparseMatrix {
+    let nv = netlist.node_count() - 1;
+    let devices = netlist
+        .devices
+        .iter()
+        .flat_map(|dev| device_entries(&dev.element, nv))
+        .flatten();
+    // Global gmin diagonal on every node row.
+    let gmin = (0..nv).map(|k| (k, k));
+    SparseMatrix::from_entries(netlist.unknown_count(), devices.chain(gmin))
+}
+
 /// Sentinel for "this stamp touches ground and has no matrix slot / rhs
 /// row". Using a plain `usize` instead of `Option<usize>` keeps the plan
 /// structs `Copy` and the hot-loop branches cheap.
 const NO_SLOT: usize = usize::MAX;
+
+fn rhs_row(i: Option<usize>) -> usize {
+    i.unwrap_or(NO_SLOT)
+}
 
 /// Resolved slots for a two-terminal conductance stamp between unknowns
 /// `i` and `j` (the classic `+g/+g/-g/-g` quadruple).
@@ -293,35 +396,10 @@ struct PairSlots {
 }
 
 impl PairSlots {
-    fn resolve(mat: &SparseMatrix, i: Option<usize>, j: Option<usize>) -> PairSlots {
-        PairSlots {
-            ii: entry_slot(mat, i, i),
-            jj: entry_slot(mat, j, j),
-            ij: entry_slot(mat, i, j),
-            ji: entry_slot(mat, j, i),
-        }
-    }
-
-    /// Mirrors [`add_conductance`]: when `i == j` the four writes hit the
-    /// same slot and net to zero, exactly like the dense stamp.
-    #[inline]
-    fn stamp(&self, values: &mut [f64], g: f64) {
-        if self.ii != NO_SLOT {
-            values[self.ii] += g;
-        }
-        if self.jj != NO_SLOT {
-            values[self.jj] += g;
-        }
-        if self.ij != NO_SLOT {
-            values[self.ij] -= g;
-        }
-        if self.ji != NO_SLOT {
-            values[self.ji] -= g;
-        }
-    }
-
-    /// [`stamp`](PairSlots::stamp) into lane `lane` of a lane-minor value
-    /// array with `lanes` lanes per slot.
+    /// Stamps `g` into lane `lane` of a lane-minor value array with
+    /// `lanes` lanes per slot. Mirrors [`add_conductance`]: when `i == j`
+    /// the four writes hit the same slot and net to zero, exactly like the
+    /// dense stamp.
     #[inline]
     fn stamp_lane(&self, values: &mut [f64], lanes: usize, lane: usize, g: f64) {
         if self.ii != NO_SLOT {
@@ -339,21 +417,9 @@ impl PairSlots {
     }
 }
 
-fn entry_slot(mat: &SparseMatrix, i: Option<usize>, j: Option<usize>) -> usize {
-    match (i, j) {
-        (Some(i), Some(j)) => mat
-            .slot(i, j)
-            .expect("MNA pattern covers every device stamp"),
-        _ => NO_SLOT,
-    }
-}
-
-fn rhs_row(i: Option<usize>) -> usize {
-    i.unwrap_or(NO_SLOT)
-}
-
-/// Per-device stamping plan: matrix slots and rhs rows resolved once at
-/// build time so iterations never search the pattern.
+/// Per-device stamping plan: the slots of the device's
+/// [`device_entries`] and its rhs rows, resolved once at build time so
+/// iterations never search the pattern.
 #[derive(Debug, Clone, Copy)]
 enum DevicePlan {
     Resistor {
@@ -388,326 +454,73 @@ enum DevicePlan {
     },
 }
 
-/// Collects the MNA sparsity pattern of a netlist. Capacitor stamps are
-/// always included so one pattern (and one symbolic analysis) serves both
-/// DC (`CapMode::Open`) and transient companion stamping.
-pub(crate) fn mna_pattern(netlist: &Netlist) -> SparseMatrix {
-    let n = netlist.unknown_count();
-    let nv = netlist.node_count() - 1;
-    let mut entries: Vec<(usize, usize)> = Vec::new();
-    let pair = |entries: &mut Vec<(usize, usize)>, i: Option<usize>, j: Option<usize>| {
-        if let Some(i) = i {
-            entries.push((i, i));
-        }
-        if let Some(j) = j {
-            entries.push((j, j));
-        }
-        if let (Some(i), Some(j)) = (i, j) {
-            entries.push((i, j));
-            entries.push((j, i));
-        }
-    };
-    for dev in &netlist.devices {
-        match &dev.element {
-            Element::Resistor { a, b, .. } | Element::Capacitor { a, b, .. } => {
-                pair(&mut entries, vidx(*a), vidx(*b));
+impl DevicePlan {
+    /// Resolves `element`'s plan against `mat`'s pattern; `cap_index`
+    /// counts the capacitors planned so far.
+    fn new(mat: &SparseMatrix, element: &Element, nv: usize, cap_index: &mut usize) -> DevicePlan {
+        let slots = device_entries(element, nv).map(|entry| {
+            entry.map_or(NO_SLOT, |(row, col)| {
+                mat.slot(row, col)
+                    .expect("MNA pattern covers every device stamp")
+            })
+        });
+        let pair = PairSlots {
+            ii: slots[0],
+            jj: slots[1],
+            ij: slots[2],
+            ji: slots[3],
+        };
+        match *element {
+            Element::Resistor { .. } => DevicePlan::Resistor { pair },
+            Element::Capacitor { a, b, .. } => {
+                let plan = DevicePlan::Capacitor {
+                    pair,
+                    a_row: rhs_row(vidx(a)),
+                    b_row: rhs_row(vidx(b)),
+                    cap_index: *cap_index,
+                };
+                *cap_index += 1;
+                plan
             }
-            Element::VSource {
-                plus,
-                minus,
-                branch,
-                ..
-            } => {
-                let row = nv + branch;
-                if let Some(p) = vidx(*plus) {
-                    entries.push((p, row));
-                    entries.push((row, p));
-                }
-                if let Some(m) = vidx(*minus) {
-                    entries.push((m, row));
-                    entries.push((row, m));
-                }
-            }
-            Element::ISource { .. } => {}
-            Element::Nmos { d, g, s, .. } | Element::Nmos3 { d, g, s, .. } => {
-                // Union of both bias orientations: the drain/source pair
-                // quadruple plus gm columns at the gate for both rows.
-                pair(&mut entries, vidx(*d), vidx(*s));
-                if let (Some(di), Some(gi)) = (vidx(*d), vidx(*g)) {
-                    entries.push((di, gi));
-                }
-                if let (Some(si), Some(gi)) = (vidx(*s), vidx(*g)) {
-                    entries.push((si, gi));
-                }
-            }
-        }
-    }
-    // Global gmin diagonal on every node row.
-    for k in 0..nv {
-        entries.push((k, k));
-    }
-    SparseMatrix::from_entries(n, entries)
-}
-
-/// The sparse MNA system for one netlist topology: fixed-pattern matrix,
-/// per-device slot plans, and the linear/nonlinear stamping split.
-///
-/// [`begin`](SparseSystem::begin) stamps everything bias-independent (R, C
-/// companion, sources, gmin diagonal) into a baseline once per Newton
-/// solve; [`iterate`](SparseSystem::iterate) copies the baseline and
-/// restamps only the MOSFETs around the new linearization point.
-pub(crate) struct SparseSystem {
-    mat: SparseMatrix,
-    plans: Vec<DevicePlan>,
-    diag_slots: Vec<usize>,
-    lin_values: Vec<f64>,
-    lin_b: Vec<f64>,
-}
-
-impl SparseSystem {
-    pub fn new(netlist: &Netlist) -> SparseSystem {
-        let n = netlist.unknown_count();
-        let nv = netlist.node_count() - 1;
-        let mat = mna_pattern(netlist);
-        let mut plans = Vec::with_capacity(netlist.devices.len());
-        let mut cap_index = 0usize;
-        for dev in &netlist.devices {
-            plans.push(match &dev.element {
-                Element::Resistor { a, b, .. } => DevicePlan::Resistor {
-                    pair: PairSlots::resolve(&mat, vidx(*a), vidx(*b)),
-                },
-                Element::Capacitor { a, b, .. } => {
-                    let plan = DevicePlan::Capacitor {
-                        pair: PairSlots::resolve(&mat, vidx(*a), vidx(*b)),
-                        a_row: rhs_row(vidx(*a)),
-                        b_row: rhs_row(vidx(*b)),
-                        cap_index,
-                    };
-                    cap_index += 1;
-                    plan
-                }
-                Element::VSource {
-                    plus,
-                    minus,
-                    branch,
-                    ..
-                } => {
-                    let row = nv + branch;
-                    DevicePlan::VSource {
-                        pr: entry_slot(&mat, vidx(*plus), Some(row)),
-                        rp: entry_slot(&mat, Some(row), vidx(*plus)),
-                        mr: entry_slot(&mat, vidx(*minus), Some(row)),
-                        rm: entry_slot(&mat, Some(row), vidx(*minus)),
-                        row,
-                    }
-                }
-                Element::ISource { from, to, .. } => DevicePlan::ISource {
-                    to_row: rhs_row(vidx(*to)),
-                    from_row: rhs_row(vidx(*from)),
-                },
-                Element::Nmos { d, g, s, .. } | Element::Nmos3 { d, g, s, .. } => {
-                    let (di, si, gi) = (vidx(*d), vidx(*s), vidx(*g));
-                    DevicePlan::Mos {
-                        pair: PairSlots::resolve(&mat, di, si),
-                        dg: entry_slot(&mat, di, gi),
-                        sg: entry_slot(&mat, si, gi),
-                        d_row: rhs_row(di),
-                        s_row: rhs_row(si),
-                    }
-                }
-            });
-        }
-        let diag_slots = (0..nv)
-            .map(|k| mat.slot(k, k).expect("diagonal in pattern"))
-            .collect();
-        let nnz = mat.nnz();
-        SparseSystem {
-            mat,
-            plans,
-            diag_slots,
-            lin_values: vec![0.0; nnz],
-            lin_b: vec![0.0; n],
-        }
-    }
-
-    pub fn matrix(&self) -> &SparseMatrix {
-        &self.mat
-    }
-
-    /// Stamps the bias-independent baseline (linear devices, sources, gmin
-    /// diagonal) for one Newton solve under `ctx`.
-    pub fn begin(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) {
-        debug_assert_eq!(netlist.devices.len(), self.plans.len(), "plan drift");
-        self.lin_values.fill(0.0);
-        self.lin_b.fill(0.0);
-        for (dev, plan) in netlist.devices.iter().zip(&self.plans) {
-            match (&dev.element, plan) {
-                (Element::Resistor { ohms, .. }, DevicePlan::Resistor { pair }) => {
-                    pair.stamp(&mut self.lin_values, 1.0 / ohms);
-                }
-                (
-                    Element::Capacitor { farads, .. },
-                    DevicePlan::Capacitor {
-                        pair,
-                        a_row,
-                        b_row,
-                        cap_index,
-                    },
-                ) => match ctx.cap_mode {
-                    CapMode::Open => {}
-                    CapMode::Step { dt, trapezoidal } => {
-                        let st = ctx.cap_states[*cap_index];
-                        let (g, ieq) = if trapezoidal {
-                            let g = 2.0 * farads / dt;
-                            (g, -(g * st.v + st.i))
-                        } else {
-                            let g = farads / dt;
-                            (g, -g * st.v)
-                        };
-                        pair.stamp(&mut self.lin_values, g);
-                        if *b_row != NO_SLOT {
-                            self.lin_b[*b_row] += ieq;
-                        }
-                        if *a_row != NO_SLOT {
-                            self.lin_b[*a_row] -= ieq;
-                        }
-                    }
-                },
-                (
-                    Element::VSource { wave, .. },
-                    DevicePlan::VSource {
-                        pr,
-                        rp,
-                        mr,
-                        rm,
-                        row,
-                    },
-                ) => {
-                    if *pr != NO_SLOT {
-                        self.lin_values[*pr] += 1.0;
-                        self.lin_values[*rp] += 1.0;
-                    }
-                    if *mr != NO_SLOT {
-                        self.lin_values[*mr] -= 1.0;
-                        self.lin_values[*rm] -= 1.0;
-                    }
-                    self.lin_b[*row] += wave.at(ctx.t) * ctx.source_scale;
-                }
-                (Element::ISource { wave, .. }, DevicePlan::ISource { to_row, from_row }) => {
-                    let i = wave.at(ctx.t) * ctx.source_scale;
-                    if *to_row != NO_SLOT {
-                        self.lin_b[*to_row] += i;
-                    }
-                    if *from_row != NO_SLOT {
-                        self.lin_b[*from_row] -= i;
-                    }
-                }
-                (Element::Nmos { .. } | Element::Nmos3 { .. }, DevicePlan::Mos { .. }) => {}
-                _ => unreachable!("device/plan mismatch"),
-            }
-        }
-        for &s in &self.diag_slots {
-            self.lin_values[s] += 1e-12;
-        }
-    }
-
-    /// Restamps the full system around linearization point `x`: copies the
-    /// linear baseline, then applies only the MOSFET stamps. Zero
-    /// allocation; `b` must have length `unknown_count`.
-    pub fn iterate(&mut self, netlist: &Netlist, x: &[f64], ctx: &StampContext<'_>, b: &mut [f64]) {
-        self.mat.values_mut().copy_from_slice(&self.lin_values);
-        b.copy_from_slice(&self.lin_b);
-        let vals = self.mat.values_mut();
-        for (dev, plan) in netlist.devices.iter().zip(&self.plans) {
-            let DevicePlan::Mos {
+            Element::VSource { branch, .. } => DevicePlan::VSource {
+                pr: slots[0],
+                rp: slots[1],
+                mr: slots[2],
+                rm: slots[3],
+                row: nv + branch,
+            },
+            Element::ISource { from, to, .. } => DevicePlan::ISource {
+                to_row: rhs_row(vidx(to)),
+                from_row: rhs_row(vidx(from)),
+            },
+            Element::Nmos { d, s, .. } | Element::Nmos3 { d, s, .. } => DevicePlan::Mos {
                 pair,
-                dg,
-                sg,
-                d_row,
-                s_row,
-            } = plan
-            else {
-                continue;
-            };
-            let (ids, gm, gds, forward, vgs, vds) = match &dev.element {
-                Element::Nmos { d, g, s, params } => {
-                    let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                    let forward = vd >= vs;
-                    let (vds, vgs) = if forward {
-                        (vd - vs, vg - vs)
-                    } else {
-                        (vs - vd, vg - vd)
-                    };
-                    let (ids, gm, gds) = level1(params, vgs, vds);
-                    (ids, gm, gds, forward, vgs, vds)
-                }
-                Element::Nmos3 { d, g, s, params } => {
-                    let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                    let forward = vd >= vs;
-                    let (vds, vgs) = if forward {
-                        (vd - vs, vg - vs)
-                    } else {
-                        (vs - vd, vg - vd)
-                    };
-                    let (ids, gm, gds) = params.linearize(vgs, vds);
-                    (ids, gm, gds, forward, vgs, vds)
-                }
-                _ => unreachable!("Mos plan on non-MOS device"),
-            };
-            let ieq = ids - gm * vgs - gds * vds;
-            pair.stamp(vals, gds + ctx.gmin);
-            if forward {
-                if *dg != NO_SLOT {
-                    vals[*dg] += gm;
-                }
-                if pair.ij != NO_SLOT {
-                    vals[pair.ij] -= gm;
-                }
-                if *sg != NO_SLOT {
-                    vals[*sg] -= gm;
-                }
-                if pair.jj != NO_SLOT {
-                    vals[pair.jj] += gm;
-                }
-                if *s_row != NO_SLOT {
-                    b[*s_row] += ieq;
-                }
-                if *d_row != NO_SLOT {
-                    b[*d_row] -= ieq;
-                }
-            } else {
-                if *sg != NO_SLOT {
-                    vals[*sg] += gm;
-                }
-                if pair.ji != NO_SLOT {
-                    vals[pair.ji] -= gm;
-                }
-                if *dg != NO_SLOT {
-                    vals[*dg] -= gm;
-                }
-                if pair.ii != NO_SLOT {
-                    vals[pair.ii] += gm;
-                }
-                if *d_row != NO_SLOT {
-                    b[*d_row] += ieq;
-                }
-                if *s_row != NO_SLOT {
-                    b[*s_row] -= ieq;
-                }
-            }
+                dg: slots[4],
+                sg: slots[5],
+                d_row: rhs_row(vidx(d)),
+                s_row: rhs_row(vidx(s)),
+            },
         }
     }
 }
 
-/// The lane-batched counterpart of [`SparseSystem`]: one set of device
-/// plans (resolved from a reference netlist) applied to K same-topology
-/// lane netlists stamping into a [`SparseMatrixEnsemble`].
+/// The plan stamper: the sparse MNA system of one topology, stamped into
+/// K value lanes of a [`SparseMatrixEnsemble`]. One set of device plans,
+/// resolved from a reference netlist, is applied to K same-topology lane
+/// netlists. A scalar sparse solve is the one-lane instance (which
+/// [`SparseLu::factor_lane`] factors in place); the ensemble Monte Carlo
+/// path runs K lanes.
 ///
-/// Restricted to DC operating-point stamping (`CapMode::Open`): the
-/// ensemble Monte Carlo path batches DC evaluations only, so capacitors
-/// are open circuits and no per-lane companion state exists.
-pub(crate) struct EnsembleSystem {
-    mat: crate::linalg::SparseMatrixEnsemble,
+/// [`begin`](EnsembleSystem::begin) stamps everything bias-independent
+/// (R, C companion, sources, gmin diagonal) into a baseline once per
+/// Newton solve; [`iterate`](EnsembleSystem::iterate) copies the baseline
+/// and restamps only the MOSFETs around the new linearization point.
+///
+/// `L` is the lane count when it is fixed at compile time — `1` for the
+/// scalar path, so its lane arithmetic folds away — and `0` when it is
+/// set at run time (the ensemble).
+pub(crate) struct EnsembleSystem<const L: usize = 0> {
+    mat: SparseMatrixEnsemble,
     plans: Vec<DevicePlan>,
     diag_slots: Vec<usize>,
     /// Lane-minor linear baseline values, `nnz * lanes`.
@@ -723,26 +536,47 @@ pub(crate) struct EnsembleSystem {
     lin_b_prev: Vec<f64>,
 }
 
-impl EnsembleSystem {
+impl<const L: usize> EnsembleSystem<L> {
     /// Builds plans from `reference`'s topology with `lanes` value lanes.
     /// Every netlist later stamped must satisfy
     /// [`Netlist::same_topology`] against the reference.
-    pub fn new(reference: &Netlist, lanes: usize) -> EnsembleSystem {
-        let scalar = SparseSystem::new(reference);
+    pub fn new(reference: &Netlist, lanes: usize) -> EnsembleSystem<L> {
+        assert!(L == 0 || lanes == L, "lane count fixed at {L}");
         let n = reference.unknown_count();
-        let nnz = scalar.mat.nnz();
+        let nv = reference.node_count() - 1;
+        let pattern = mna_pattern(reference);
+        let mut cap_index = 0usize;
+        let plans = reference
+            .devices
+            .iter()
+            .map(|dev| DevicePlan::new(&pattern, &dev.element, nv, &mut cap_index))
+            .collect();
+        let diag_slots = (0..nv)
+            .map(|k| pattern.slot(k, k).expect("diagonal in pattern"))
+            .collect();
+        let nnz = pattern.nnz();
         EnsembleSystem {
-            mat: crate::linalg::SparseMatrixEnsemble::new(scalar.mat, lanes),
-            plans: scalar.plans,
-            diag_slots: scalar.diag_slots,
+            mat: SparseMatrixEnsemble::new(pattern, lanes),
+            plans,
+            diag_slots,
             lin_values: vec![0.0; nnz * lanes],
             lin_b: vec![0.0; n * lanes],
             lin_b_prev: vec![0.0; n * lanes],
         }
     }
 
-    pub fn matrix(&self) -> &crate::linalg::SparseMatrixEnsemble {
+    pub fn matrix(&self) -> &SparseMatrixEnsemble {
         &self.mat
+    }
+
+    /// The lane count: `L` itself when fixed at compile time.
+    #[inline]
+    fn lanes(&self) -> usize {
+        if L == 0 {
+            self.mat.lanes()
+        } else {
+            L
+        }
     }
 
     /// Resizes to `lanes` value lanes, zeroing lane state. A no-op when
@@ -765,26 +599,50 @@ impl EnsembleSystem {
         self.lin_b_prev.resize(self.mat.n() * lanes, 0.0);
     }
 
-    /// Stamps every lane's bias-independent baseline (resistors, sources,
-    /// gmin diagonal) under `ctx`. DC only; see the type docs.
+    /// Stamps every lane's bias-independent baseline (resistors, capacitor
+    /// companions, sources, gmin diagonal) under `ctx`. Capacitor
+    /// companions are stamped for one lane only: `ctx.cap_states` holds
+    /// one netlist's capacitor states, so `CapMode::Step` needs a
+    /// one-lane system.
     pub fn begin(&mut self, lanes: &[Netlist], ctx: &StampContext<'_>) {
-        let l = self.mat.lanes();
+        let l = self.lanes();
         assert_eq!(lanes.len(), l, "lane netlist count mismatch");
         debug_assert!(
-            matches!(ctx.cap_mode, CapMode::Open),
-            "ensemble stamping is DC-only"
+            l == 1 || matches!(ctx.cap_mode, CapMode::Open),
+            "capacitor companions are stamped for one lane"
         );
         self.lin_b_prev.copy_from_slice(&self.lin_b);
         self.lin_values.fill(0.0);
         self.lin_b.fill(0.0);
-        for (lane, nl) in lanes.iter().enumerate() {
+        for (lane, nl) in lanes.iter().enumerate().take(l) {
             debug_assert_eq!(nl.devices.len(), self.plans.len(), "plan drift");
             for (dev, plan) in nl.devices.iter().zip(&self.plans) {
                 match (&dev.element, plan) {
                     (Element::Resistor { ohms, .. }, DevicePlan::Resistor { pair }) => {
                         pair.stamp_lane(&mut self.lin_values, l, lane, 1.0 / ohms);
                     }
-                    (Element::Capacitor { .. }, DevicePlan::Capacitor { .. }) => {}
+                    (
+                        Element::Capacitor { farads, .. },
+                        DevicePlan::Capacitor {
+                            pair,
+                            a_row,
+                            b_row,
+                            cap_index,
+                        },
+                    ) => {
+                        let CapMode::Step { dt, trapezoidal } = ctx.cap_mode else {
+                            continue;
+                        };
+                        let (g, ieq) =
+                            ctx.cap_states[*cap_index].companion(*farads, dt, trapezoidal);
+                        pair.stamp_lane(&mut self.lin_values, l, lane, g);
+                        if *b_row != NO_SLOT {
+                            self.lin_b[*b_row * l + lane] += ieq;
+                        }
+                        if *a_row != NO_SLOT {
+                            self.lin_b[*a_row * l + lane] -= ieq;
+                        }
+                    }
                     (
                         Element::VSource { wave, .. },
                         DevicePlan::VSource {
@@ -828,17 +686,15 @@ impl EnsembleSystem {
 
     /// Restamps every *active* lane around its lane of the lane-minor
     /// linearization point `x` (`unknowns * lanes` values): copies the
-    /// baselines, then applies only the MOSFET stamps, mirroring
-    /// [`SparseSystem::iterate`] per lane so results stay pinned to the
-    /// scalar path. `gmin` is per lane: the lockstep driver walks each
-    /// lane down its own adaptive homotopy schedule, exactly as the
-    /// scalar ladder would. `lambda` is the per-lane source-continuation
-    /// coordinate: `1.0` stamps this solve's sources exactly (a straight
-    /// copy, bit-identical to the scalar stamp), anything below blends
-    /// the rhs toward the previous solve's, letting a lane walk
-    /// continuously from its old operating point to the new sources.
-    /// Inactive lanes keep their linear baseline, which the driver
-    /// ignores.
+    /// baselines, then applies only the MOSFET stamps. `gmin` is per
+    /// lane: the lockstep driver walks each lane down its own adaptive
+    /// homotopy schedule, exactly as the scalar ladder would. `lambda` is
+    /// the per-lane source-continuation coordinate: `1.0` stamps this
+    /// solve's sources exactly (a straight copy of the baseline rhs),
+    /// anything below blends the rhs toward the previous solve's, letting
+    /// a lane walk continuously from its old operating point to the new
+    /// sources. Inactive lanes keep their linear baseline, which the
+    /// driver ignores.
     pub fn iterate(
         &mut self,
         lanes: &[Netlist],
@@ -848,7 +704,7 @@ impl EnsembleSystem {
         lambda: &[f64],
         b: &mut [f64],
     ) {
-        let l = self.mat.lanes();
+        let l = self.lanes();
         self.mat.values_mut().copy_from_slice(&self.lin_values);
         if lambda.iter().all(|&lam| lam >= 1.0) {
             b.copy_from_slice(&self.lin_b);
@@ -870,10 +726,15 @@ impl EnsembleSystem {
             }
         }
         let vals = self.mat.values_mut();
-        for (lane, nl) in lanes.iter().enumerate() {
+        for lane in 0..l {
             if !active[lane] {
                 continue;
             }
+            let nl = &lanes[lane];
+            let volt = |node: NodeId| match vidx(node) {
+                None => 0.0,
+                Some(i) => x[i * l + lane],
+            };
             for (dev, plan) in nl.devices.iter().zip(&self.plans) {
                 let DevicePlan::Mos {
                     pair,
@@ -885,75 +746,33 @@ impl EnsembleSystem {
                 else {
                     continue;
                 };
-                let volt = |node: crate::netlist::NodeId| match vidx(node) {
-                    None => 0.0,
-                    Some(i) => x[i * l + lane],
-                };
-                let (ids, gm, gds, forward, vgs, vds) = match &dev.element {
-                    Element::Nmos { d, g, s, params } => {
-                        let (vd, vg, vs) = (volt(*d), volt(*g), volt(*s));
-                        let forward = vd >= vs;
-                        let (vds, vgs) = if forward {
-                            (vd - vs, vg - vs)
-                        } else {
-                            (vs - vd, vg - vd)
-                        };
-                        let (ids, gm, gds) = level1(params, vgs, vds);
-                        (ids, gm, gds, forward, vgs, vds)
-                    }
-                    Element::Nmos3 { d, g, s, params } => {
-                        let (vd, vg, vs) = (volt(*d), volt(*g), volt(*s));
-                        let forward = vd >= vs;
-                        let (vds, vgs) = if forward {
-                            (vd - vs, vg - vs)
-                        } else {
-                            (vs - vd, vg - vd)
-                        };
-                        let (ids, gm, gds) = params.linearize(vgs, vds);
-                        (ids, gm, gds, forward, vgs, vds)
-                    }
-                    _ => unreachable!("Mos plan on non-MOS device"),
-                };
-                let ieq = ids - gm * vgs - gds * vds;
-                pair.stamp_lane(vals, l, lane, gds + gmin[lane]);
-                if forward {
-                    if *dg != NO_SLOT {
-                        vals[*dg * l + lane] += gm;
-                    }
-                    if pair.ij != NO_SLOT {
-                        vals[pair.ij * l + lane] -= gm;
-                    }
-                    if *sg != NO_SLOT {
-                        vals[*sg * l + lane] -= gm;
-                    }
-                    if pair.jj != NO_SLOT {
-                        vals[pair.jj * l + lane] += gm;
-                    }
-                    if *s_row != NO_SLOT {
-                        b[*s_row * l + lane] += ieq;
-                    }
-                    if *d_row != NO_SLOT {
-                        b[*d_row * l + lane] -= ieq;
-                    }
+                let m = MosBias::at(&dev.element, volt).expect("Mos plan on a MOSFET");
+                let (gm, ieq) = (m.gm, m.ieq());
+                // In the acting orientation: the (D,G) (D,S) (S,G) (S,S)
+                // gm slots, then the source and drain rhs rows.
+                let (d_g, d_s, s_g, s_s, s_rhs, d_rhs) = if m.forward {
+                    (*dg, pair.ij, *sg, pair.jj, *s_row, *d_row)
                 } else {
-                    if *sg != NO_SLOT {
-                        vals[*sg * l + lane] += gm;
-                    }
-                    if pair.ji != NO_SLOT {
-                        vals[pair.ji * l + lane] -= gm;
-                    }
-                    if *dg != NO_SLOT {
-                        vals[*dg * l + lane] -= gm;
-                    }
-                    if pair.ii != NO_SLOT {
-                        vals[pair.ii * l + lane] += gm;
-                    }
-                    if *d_row != NO_SLOT {
-                        b[*d_row * l + lane] += ieq;
-                    }
-                    if *s_row != NO_SLOT {
-                        b[*s_row * l + lane] -= ieq;
-                    }
+                    (*sg, pair.ji, *dg, pair.ii, *d_row, *s_row)
+                };
+                pair.stamp_lane(vals, l, lane, m.gds + gmin[lane]);
+                if d_g != NO_SLOT {
+                    vals[d_g * l + lane] += gm;
+                }
+                if d_s != NO_SLOT {
+                    vals[d_s * l + lane] -= gm;
+                }
+                if s_g != NO_SLOT {
+                    vals[s_g * l + lane] -= gm;
+                }
+                if s_s != NO_SLOT {
+                    vals[s_s * l + lane] += gm;
+                }
+                if s_rhs != NO_SLOT {
+                    b[s_rhs * l + lane] += ieq;
+                }
+                if d_rhs != NO_SLOT {
+                    b[d_rhs * l + lane] -= ieq;
                 }
             }
         }
@@ -961,10 +780,12 @@ impl EnsembleSystem {
 }
 
 /// Size (in unknowns) from which `SolverKind::Auto` picks the sparse
-/// engine; below it the dense oracle was faster in the dense-vs-sparse
-/// crossover measured when the sparse engine landed (CHANGES.md). The
-/// benchmark's `op_small` workload reports the share of solves that run
-/// dense as `spice.dense_share`.
+/// engine. A sparse Newton iteration is faster than the dense one below
+/// it too (DESIGN §6 records the measurement); the cutover stays here for
+/// result-bit stability, since moving it changes which path, and so which
+/// rounding, small circuits get. It moves only together with the goldens
+/// it moves. The benchmark's `op_small` workload reports the share of
+/// solves that run dense as `spice.dense_share`.
 pub(crate) const SPARSE_THRESHOLD: usize = 24;
 
 /// Per-analysis solver state, reused across Newton iterations, homotopy
@@ -975,7 +796,8 @@ pub(crate) enum SolverWorkspace {
         b: Vec<f64>,
     },
     Sparse {
-        sys: SparseSystem,
+        /// The one-lane plan stamper.
+        sys: Box<EnsembleSystem<1>>,
         lu: Box<SparseLu>,
         b: Vec<f64>,
     },
@@ -983,16 +805,11 @@ pub(crate) enum SolverWorkspace {
 
 impl SolverWorkspace {
     /// Builds the workspace a netlist's analyses should use, honouring
-    /// [`SolverKind`] and reusing the netlist's shared symbolic analysis
-    /// when its pattern still matches.
+    /// [`Netlist::uses_sparse_solver`] and reusing the netlist's shared
+    /// symbolic analysis when its pattern still matches.
     pub fn for_netlist(netlist: &Netlist) -> SolverWorkspace {
         let n = netlist.unknown_count();
-        let use_sparse = match netlist.solver_kind() {
-            SolverKind::Dense => false,
-            SolverKind::Sparse => true,
-            SolverKind::Auto => n >= SPARSE_THRESHOLD,
-        };
-        if !use_sparse {
+        if !netlist.uses_sparse_solver() {
             fts_telemetry::counter("spice.solver.dense", 1);
             // a = unknowns.
             fts_telemetry::trace::emit("solver_selected", "dense", n as f64, 0.0);
@@ -1002,16 +819,12 @@ impl SolverWorkspace {
             };
         }
         fts_telemetry::counter("spice.solver.sparse", 1);
-        let sys = SparseSystem::new(netlist);
+        let sys = Box::new(EnsembleSystem::new(netlist, 1));
+        let pattern = sys.matrix().pattern();
         // a = unknowns, b = pattern non-zeros.
-        fts_telemetry::trace::emit(
-            "solver_selected",
-            "sparse",
-            n as f64,
-            sys.matrix().nnz() as f64,
-        );
+        fts_telemetry::trace::emit("solver_selected", "sparse", n as f64, pattern.nnz() as f64);
         let symbolic = match netlist.shared_symbolic() {
-            Some(sym) if sym.matches(sys.matrix()) => {
+            Some(sym) if sym.matches(pattern) => {
                 fts_telemetry::counter("spice.sparse.symbolic_reuse", 1);
                 fts_telemetry::trace::emit("sparse_symbolic", "reuse", 0.0, 0.0);
                 Arc::clone(sym)
@@ -1021,16 +834,16 @@ impl SolverWorkspace {
                 // pattern — fall back to a fresh analysis.
                 fts_telemetry::counter("spice.sparse.symbolic_miss", 1);
                 fts_telemetry::trace::emit("sparse_symbolic", "miss", 0.0, 0.0);
-                Arc::new(Symbolic::analyze(sys.matrix()))
+                Arc::new(Symbolic::analyze(pattern))
             }
             None => {
                 fts_telemetry::counter("spice.sparse.symbolic_new", 1);
                 fts_telemetry::trace::emit("sparse_symbolic", "new", 0.0, 0.0);
-                Arc::new(Symbolic::analyze(sys.matrix()))
+                Arc::new(Symbolic::analyze(pattern))
             }
         };
         if fts_telemetry::enabled() {
-            fts_telemetry::record("spice.sparse.pattern_nnz", sys.matrix().nnz() as f64);
+            fts_telemetry::record("spice.sparse.pattern_nnz", pattern.nnz() as f64);
         }
         let lu = Box::new(SparseLu::new(symbolic));
         SolverWorkspace::Sparse {
@@ -1052,12 +865,50 @@ pub(crate) struct NewtonSolve {
     pub max_step: f64,
 }
 
+/// One damped Newton update of lane `lane` of the lane-minor iterate `x`
+/// toward `x_new`, the linear solve's result (`lanes` values per unknown;
+/// a scalar solve is lane 0 of 1). Voltage-step damping stabilizes MOS
+/// Newton iterations: the step is scaled so no node voltage (the first
+/// `nv` unknowns) moves more than 2 V.
+///
+/// Returns whether the solve has converged — an undamped step within
+/// `1e-9 + 1e-6·|x|` on every unknown — and the largest absolute damped
+/// step, the step-norm residual.
+#[inline]
+pub(crate) fn damped_update(
+    x: &mut [f64],
+    x_new: &[f64],
+    nv: usize,
+    lanes: usize,
+    lane: usize,
+) -> (bool, f64) {
+    let mut max_dv = 0.0f64;
+    for i in 0..nv {
+        let k = i * lanes + lane;
+        max_dv = max_dv.max((x_new[k] - x[k]).abs());
+    }
+    let damp = if max_dv > 2.0 { 2.0 / max_dv } else { 1.0 };
+    let mut converged = true;
+    let mut max_step = 0.0f64;
+    for i in 0..x.len() / lanes {
+        let k = i * lanes + lane;
+        let step = (x_new[k] - x[k]) * damp;
+        if step.abs() > 1e-9 + 1e-6 * x[k].abs() {
+            converged = false;
+        }
+        max_step = max_step.max(step.abs());
+        x[k] += step;
+    }
+    (converged && damp == 1.0, max_step)
+}
+
 /// Newton–Raphson over a reusable [`SolverWorkspace`]; returns the
 /// converged unknown vector together with iteration diagnostics.
 ///
 /// The dense path restamps everything through [`stamp_all`]; the sparse
-/// path computes the linear baseline once, then each iteration restamps
-/// only the MOSFETs and refactors numerically against the shared symbolic.
+/// path stamps the one-lane plan stamper's linear baseline once, then
+/// each iteration restamps only the MOSFETs and refactors numerically
+/// against the shared symbolic.
 pub(crate) fn newton(
     netlist: &Netlist,
     ctx: &StampContext<'_>,
@@ -1065,11 +916,11 @@ pub(crate) fn newton(
     max_iterations: usize,
     ws: &mut SolverWorkspace,
 ) -> Result<NewtonSolve, SpiceError> {
-    let n = netlist.unknown_count();
     let nv = netlist.node_count() - 1;
+    let one_lane = std::slice::from_ref(netlist);
     let mut x = x0.to_vec();
     if let SolverWorkspace::Sparse { sys, .. } = ws {
-        sys.begin(netlist, ctx);
+        sys.begin(one_lane, ctx);
     }
     for iteration in 1..=max_iterations {
         if let Some(token) = ctx.cancel {
@@ -1085,8 +936,8 @@ pub(crate) fn newton(
                 &dense_x
             }
             SolverWorkspace::Sparse { sys, lu, b } => {
-                sys.iterate(netlist, &x, ctx, b);
-                lu.factor(sys.matrix())?;
+                sys.iterate(one_lane, &[true], &x, &[ctx.gmin], &[1.0], b);
+                lu.factor_lane(sys.matrix())?;
                 // One numeric (re)factorization per Newton iteration;
                 // a = iteration number within this solve.
                 fts_telemetry::trace::emit("sparse_factor", "", iteration as f64, 0.0);
@@ -1094,23 +945,8 @@ pub(crate) fn newton(
                 b
             }
         };
-        // Voltage-step damping stabilizes MOS Newton iterations.
-        let mut max_dv = 0.0f64;
-        for i in 0..nv {
-            max_dv = max_dv.max((x_new[i] - x[i]).abs());
-        }
-        let damp = if max_dv > 2.0 { 2.0 / max_dv } else { 1.0 };
-        let mut converged = true;
-        let mut max_step = 0.0f64;
-        for i in 0..n {
-            let step = (x_new[i] - x[i]) * damp;
-            if step.abs() > 1e-9 + 1e-6 * x[i].abs() {
-                converged = false;
-            }
-            max_step = max_step.max(step.abs());
-            x[i] += step;
-        }
-        if converged && damp == 1.0 {
+        let (converged, max_step) = damped_update(&mut x, x_new, nv, 1, 0);
+        if converged {
             return Ok(NewtonSolve {
                 x,
                 iterations: iteration,
@@ -1133,24 +969,22 @@ pub(crate) fn stamp_ac(
     x_op: &[f64],
     omega: f64,
     ac_source: &str,
-    a: &mut crate::complex::CMatrix,
-    b: &mut [crate::complex::Complex],
+    a: &mut CMatrix,
+    b: &mut [Complex],
 ) {
-    use crate::complex::Complex;
     let nv = netlist.node_count() - 1;
-    let mut addc =
-        |a: &mut crate::complex::CMatrix, i: Option<usize>, j: Option<usize>, y: Complex| {
-            if let Some(i) = i {
-                a.add(i, i, y);
-            }
-            if let Some(j) = j {
-                a.add(j, j, y);
-            }
-            if let (Some(i), Some(j)) = (i, j) {
-                a.add(i, j, -y);
-                a.add(j, i, -y);
-            }
-        };
+    let addc = |a: &mut CMatrix, i: Option<usize>, j: Option<usize>, y: Complex| {
+        if let Some(i) = i {
+            a.add(i, i, y);
+        }
+        if let Some(j) = j {
+            a.add(j, j, y);
+        }
+        if let (Some(i), Some(j)) = (i, j) {
+            a.add(i, j, -y);
+            a.add(j, i, -y);
+        }
+    };
     for dev in &netlist.devices {
         match &dev.element {
             Element::Resistor { a: na, b: nb, ohms } => {
@@ -1183,65 +1017,19 @@ pub(crate) fn stamp_ac(
                 }
             }
             Element::ISource { .. } => {}
-            Element::Nmos { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x_op, *d), voltage(x_op, *g), voltage(x_op, *s));
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x_op, ns);
-                let (_, gm, gds) = level1(params, vgs, vds_raw);
-                stamp_ac_mos(a, vidx(nd), vidx(ns), vidx(*g), gm, gds, &mut addc);
-            }
-            Element::Nmos3 { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x_op, *d), voltage(x_op, *g), voltage(x_op, *s));
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x_op, ns);
-                let (_, gm, gds) = params.linearize(vgs, vds_raw);
-                stamp_ac_mos(a, vidx(nd), vidx(ns), vidx(*g), gm, gds, &mut addc);
+            Element::Nmos { .. } | Element::Nmos3 { .. } => {
+                let m = MosBias::at(&dev.element, |node| voltage(x_op, node)).expect("a MOSFET");
+                addc(
+                    a,
+                    vidx(m.drain),
+                    vidx(m.source),
+                    Complex::real(m.gds + 1e-12),
+                );
+                m.gm_entries(|r, c, v| a.add(r, c, Complex::real(v)));
             }
         }
     }
     for n in 0..nv {
-        a.add(n, n, crate::complex::Complex::real(1e-12));
-    }
-}
-
-fn stamp_ac_mos(
-    a: &mut crate::complex::CMatrix,
-    id_: Option<usize>,
-    is_: Option<usize>,
-    ig_: Option<usize>,
-    gm: f64,
-    gds: f64,
-    addc: &mut impl FnMut(
-        &mut crate::complex::CMatrix,
-        Option<usize>,
-        Option<usize>,
-        crate::complex::Complex,
-    ),
-) {
-    use crate::complex::Complex;
-    addc(a, id_, is_, Complex::real(gds + 1e-12));
-    if let Some(r) = id_ {
-        if let Some(c) = ig_ {
-            a.add(r, c, Complex::real(gm));
-        }
-        if let Some(c) = is_ {
-            a.add(r, c, Complex::real(-gm));
-        }
-    }
-    if let Some(r) = is_ {
-        if let Some(c) = ig_ {
-            a.add(r, c, Complex::real(-gm));
-        }
-        if let Some(c) = is_ {
-            a.add(r, c, Complex::real(gm));
-        }
+        a.add(n, n, Complex::real(1e-12));
     }
 }
