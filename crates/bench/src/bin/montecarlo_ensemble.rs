@@ -114,9 +114,7 @@ fn twin_check(
 ) -> Result<(u64, u64, f64), Box<dyn std::error::Error>> {
     let lat = xor3_lattice();
     let bench = BenchConfig::default();
-    let mut reference = LatticeCircuit::build(&lat, 3, nominal, bench)?;
-    let sym = reference.mna_symbolic();
-    reference.share_symbolic(std::sync::Arc::clone(&sym));
+    let reference = LatticeCircuit::build(&lat, 3, nominal, bench)?;
     let out = reference.out();
     let mut ensemble = OpEnsemble::new(reference.netlist());
     let opts = OpOptions::full();
@@ -138,9 +136,8 @@ fn twin_check(
             let base = variation.sample_base_model(nominal, &mut rng)?;
             let site_models = variation.sample_site_models(&base, &lat, &mut rng);
             let cols = lat.cols();
-            let mut ckt =
+            let ckt =
                 LatticeCircuit::build_with(&faulty, 3, bench, |(r, c)| site_models[r * cols + c])?;
-            ckt.share_symbolic(std::sync::Arc::clone(&sym));
             match ensemble.try_push(ckt.netlist().clone()) {
                 Ok(_) => {
                     lane_trials += 1;

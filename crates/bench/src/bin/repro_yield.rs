@@ -228,16 +228,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 args.ensemble_width, ens_lanes, ens_iters, ens_fallbacks
             );
         }
-        let sym_new = snap.counter("spice.sparse.symbolic_new");
-        let sym_reuse = snap.counter("spice.sparse.symbolic_reuse");
-        let sym_miss = snap.counter("spice.sparse.symbolic_miss");
         println!(
-            "  sparse solver    : {} factors, {} solves; symbolic analyses {} ({} reuses, {} pattern misses)",
+            "  sparse solver    : {} factors, {} solves; symbolic analyses {} ({} reuses)",
             snap.counter("spice.sparse.factor"),
             snap.counter("spice.sparse.solve"),
-            sym_new + sym_miss,
-            sym_reuse,
-            sym_miss,
+            snap.counter("spice.sparse.symbolic_new"),
+            snap.counter("spice.sparse.symbolic_reuse"),
         );
         println!("\nJSON summary:");
     }

@@ -71,15 +71,13 @@ pub fn solver_stats_done(enabled_here: bool) {
 
 /// JSON object of linear-solver statistics drawn from the live telemetry
 /// counters: engine selections, numeric factor/solve counts, and the
-/// symbolic-analysis reuse rate (1.0 = every workspace after the first
-/// reused a shared fill-reducing ordering).
+/// symbolic-analysis reuse rate (the share of analysis requests that the
+/// memo answered with a retained fill-reducing ordering).
 pub fn solver_stats_json() -> String {
     let r = fts_telemetry::snapshot();
     let new = r.counter("spice.sparse.symbolic_new");
     let reuse = r.counter("spice.sparse.symbolic_reuse");
-    let miss = r.counter("spice.sparse.symbolic_miss");
-    let analyses = new + miss;
-    let requests = analyses + reuse;
+    let requests = new + reuse;
     let reuse_rate = if requests == 0 {
         0.0
     } else {
@@ -89,7 +87,7 @@ pub fn solver_stats_json() -> String {
         concat!(
             "{{\"dense_selected\":{},\"sparse_selected\":{},",
             "\"factor_count\":{},\"solve_count\":{},",
-            "\"symbolic_new\":{},\"symbolic_reuse\":{},\"symbolic_miss\":{},",
+            "\"symbolic_new\":{},\"symbolic_reuse\":{},",
             "\"symbolic_reuse_rate\":{}}}"
         ),
         r.counter("spice.solver.dense"),
@@ -98,7 +96,6 @@ pub fn solver_stats_json() -> String {
         r.counter("spice.sparse.solve"),
         new,
         reuse,
-        miss,
         reuse_rate,
     )
 }

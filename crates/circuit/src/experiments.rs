@@ -260,10 +260,8 @@ pub fn series_chain_voltage_for_current(
     target: f64,
     v_max: f64,
 ) -> Result<f64, CircuitError> {
-    // One netlist serves the whole bisection: only the drive level changes,
-    // so every operating point reuses the same symbolic factorization.
+    // One netlist serves the whole bisection: only the drive level changes.
     let (mut nl, src) = series_chain_netlist(model, n, v_max)?;
-    nl.share_symbolic(nl.mna_symbolic());
     let mut current = |v: f64| -> Result<f64, CircuitError> {
         nl.set_vsource(src, Waveform::Dc(v))?;
         let op = Simulator::new(&nl).op()?;

@@ -168,22 +168,6 @@ impl LatticeCircuit {
         &self.netlist
     }
 
-    /// Analyzes the MNA sparsity pattern of this circuit, returning a
-    /// symbolic factorization shareable with every same-topology circuit
-    /// (e.g. all parameter-variation trials of a Monte Carlo ensemble).
-    pub fn mna_symbolic(&self) -> std::sync::Arc<fts_spice::Symbolic> {
-        self.netlist.mna_symbolic()
-    }
-
-    /// Installs a shared symbolic factorization (see
-    /// [`fts_spice::netlist::Netlist::share_symbolic`]); analyses of this
-    /// circuit then skip the fill-reducing ordering. Safe even when the
-    /// topology later turns out to differ: the pattern is verified and a
-    /// mismatch falls back to a fresh analysis.
-    pub fn share_symbolic(&mut self, symbolic: std::sync::Arc<fts_spice::Symbolic>) {
-        self.netlist.share_symbolic(symbolic);
-    }
-
     /// The output node (lattice top plate).
     pub fn out(&self) -> NodeId {
         self.out

@@ -497,7 +497,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `fts client` — the [`WireClient`] behind a shell-scriptable face.
+/// `fts client` — the [`WireClient`](four_terminal_lattice::server::WireClient) behind a shell-scriptable face.
 /// Prints the raw response body to stdout; a non-2xx answer still
 /// prints the error envelope (to stderr) but exits 1, so CI can pipe
 /// bodies straight into `jq` and trust the exit code.

@@ -49,7 +49,7 @@
 //! existing homotopy ladder runs unchanged. Seeds at parameter distance
 //! zero are excluded: an identical circuit must reproduce the cached
 //! result bit-for-bit, which only a cache hit (or an identical cold run)
-//! guarantees. Seeds beyond [`WARM_MAX_RELATIVE_STEP`] in any parameter
+//! guarantees. Seeds beyond `WARM_MAX_RELATIVE_STEP` in any parameter
 //! are excluded too: a solution from a different operating regime (say a
 //! flipped input pattern) makes Newton converge *slower* than the
 //! default start, so only genuinely nearby operating points are reused.
@@ -764,7 +764,7 @@ impl ResultCache {
     }
 
     /// Records a solved operating point for `topo` (drop-oldest past
-    /// [`WARM_POINTS_PER_TOPOLOGY`]).
+    /// `WARM_POINTS_PER_TOPOLOGY`).
     pub fn warm_insert(&self, topo: u64, params: Vec<f64>, x: Vec<f64>) {
         let mut inner = self.inner.lock().expect("cache poisoned");
         let points = inner.warm.entry(topo).or_default();
@@ -778,7 +778,7 @@ impl ResultCache {
     /// parameter distance — excluding distance-zero points (an identical
     /// circuit must run cold or hit, never warm, so identical inputs stay
     /// bit-reproducible) and far points (beyond
-    /// [`WARM_MAX_RELATIVE_STEP`] in any component, where a seed hurts
+    /// `WARM_MAX_RELATIVE_STEP` in any component, where a seed hurts
     /// more than it helps).
     #[must_use]
     pub fn warm_lookup(&self, topo: u64, params: &[f64]) -> Option<Vec<f64>> {

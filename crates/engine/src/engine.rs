@@ -3,7 +3,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use fts_spice::linalg::SparseMatrix;
 use fts_spice::{CancelToken, OpOptions, Simulator, SpiceError};
 
 use crate::executor;
@@ -17,10 +16,7 @@ use crate::sink::WaveformSink;
 /// affects only wall-clock time, never results). Each job gets a
 /// cooperative [`CancelToken`] combining the batch-wide kill switch with
 /// the job's own deadline; tokens are checked inside every Newton
-/// iteration and at every transient timestep. Before scheduling, jobs
-/// whose netlists use the sparse solver are grouped by MNA sparsity
-/// pattern, and every group of two or more shares one symbolic
-/// factorization.
+/// iteration and at every transient timestep.
 #[derive(Debug, Clone)]
 pub struct Engine {
     threads: usize,
@@ -55,13 +51,12 @@ impl Engine {
     /// switch: cancelling `batch` (from any thread) stops every queued
     /// and in-flight job at its next cancellation point. Cancelled jobs
     /// report [`SimOutcome::Cancelled`], not an error exit.
-    pub fn run_cancellable(&self, mut jobs: Vec<SimJob>, batch: &CancelToken) -> BatchReport {
+    pub fn run_cancellable(&self, jobs: Vec<SimJob>, batch: &CancelToken) -> BatchReport {
         let start = Instant::now();
         fts_telemetry::counter("engine.jobs.submitted", jobs.len() as u64);
         if fts_telemetry::enabled() {
             fts_telemetry::record("engine.queue.depth", jobs.len() as f64);
         }
-        share_symbolics(&mut jobs);
 
         let in_flight = AtomicU64::new(0);
         let indices: Vec<usize> = (0..jobs.len()).collect();
@@ -94,10 +89,7 @@ impl Engine {
     /// semantics, telemetry, and token derivation as the batch path —
     /// retry ladder, per-job deadline layered on the caller's `cancel`
     /// kill switch — so a served single-job submission is bit-identical
-    /// to the same job inside [`run`](Engine::run). (The symbolic-sharing
-    /// pre-pass only fires for groups of two or more jobs and never
-    /// changes numeric results, so skipping it here is exact, not an
-    /// approximation.)
+    /// to the same job inside [`run`](Engine::run).
     ///
     /// This is the execution hook `fts-server`'s queue workers pull jobs
     /// through.
@@ -110,32 +102,6 @@ impl Engine {
 impl Default for Engine {
     fn default() -> Engine {
         Engine::new()
-    }
-}
-
-/// Groups sparse-solver jobs by MNA sparsity pattern and shares one
-/// symbolic factorization per group of two or more.
-fn share_symbolics(jobs: &mut [SimJob]) {
-    let mut groups: Vec<(SparseMatrix, Vec<usize>)> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        if !job.netlist.uses_sparse_solver() || job.netlist.shared_symbolic().is_some() {
-            continue;
-        }
-        let pattern = job.netlist.mna_pattern();
-        match groups.iter_mut().find(|(p, _)| p.same_pattern(&pattern)) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((pattern, vec![i])),
-        }
-    }
-    for (_, members) in groups {
-        if members.len() < 2 {
-            continue;
-        }
-        let symbolic = jobs[members[0]].netlist.mna_symbolic();
-        fts_telemetry::counter("engine.symbolic.shared", members.len() as u64);
-        for &i in &members {
-            jobs[i].netlist.share_symbolic(symbolic.clone());
-        }
     }
 }
 

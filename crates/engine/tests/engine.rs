@@ -1,5 +1,5 @@
 //! Batch-engine behavior: determinism, deadlines, cancellation, retry
-//! taxonomy, symbolic sharing.
+//! taxonomy, symbolic-analysis reuse across served jobs.
 
 use std::time::{Duration, Instant};
 
@@ -160,23 +160,35 @@ fn ladder_policy_matches_full_policy_on_easy_circuits() {
 
 #[test]
 fn symbolic_sharing_does_not_change_results() {
-    // Four same-topology sparse jobs share one symbolic factorization in
-    // the engine's pre-pass; a lone `Simulator::op` shares nothing and
-    // analyzes its own. The results must not differ by a bit.
-    let netlists: Vec<Netlist> = (0..4)
-        .map(|k| {
-            let mut nl = rc_ladder(30, 1.0e3 * (1.0 + k as f64));
-            nl.set_solver(SolverKind::Sparse);
-            nl
-        })
-        .collect();
-    let jobs = netlists.iter().cloned().map(SimJob::op).collect();
-    let shared = Engine::new().threads(2).run(jobs);
-    assert_eq!(shared.succeeded(), 4);
-    for (outcome, nl) in shared.outcomes.iter().zip(&netlists) {
-        let alone = Simulator::new(nl).op().expect("op");
-        assert_eq!(outcome, &SimOutcome::Op(alone));
+    // Two same-pattern sparse jobs run one at a time through the server's
+    // execution hook: the second takes the first one's symbolic analysis
+    // from the memo, and neither result differs by a bit from a lone
+    // `Simulator::op`.
+    use fts_telemetry::trace::JobTrace;
+    let engine = Engine::new();
+    let mut journals = Vec::new();
+    for k in 0..2 {
+        let mut nl = rc_ladder(30, 1.0e3 * (1.0 + k as f64));
+        nl.set_solver(SolverKind::Sparse);
+        let trace = JobTrace::new(4096);
+        let job = SimJob::op(nl.clone()).trace(trace.clone());
+        let (SimOutcome::Op(served), _) = engine.run_single(&job, &CancelToken::new()) else {
+            panic!("expected an op result");
+        };
+        let alone = Simulator::new(&nl).op().expect("op");
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(served.unknowns()), bits(alone.unknowns()));
+        assert_eq!(served, alone);
+        journals.push(trace.snapshot());
     }
+    let second: Vec<&str> = journals[1]
+        .events
+        .iter()
+        .filter(|e| e.kind == "sparse_symbolic")
+        .map(|e| e.detail)
+        .collect();
+    assert!(!second.is_empty(), "no sparse_symbolic event");
+    assert!(second.iter().all(|&d| d == "reuse"), "{second:?}");
 }
 
 #[test]

@@ -8,7 +8,6 @@
 //! stream into per-block accumulators that merge in fixed block order, so
 //! the report is bit-identical for every thread count.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fts_circuit::lattice_netlist::{pwl_from_bits, BenchConfig, LatticeCircuit};
@@ -291,22 +290,16 @@ impl MonteCarlo {
         let _span = fts_telemetry::span("mc.run");
         let truth = lattice.truth_table(vars)?;
         let use_ensemble = self.ensemble_width >= 2 && matches!(self.eval, EvalMode::Dc);
-        let (shared_symbolic, ensemble_reference) = if matches!(self.eval, EvalMode::Logical) {
-            (None, None)
+        let ensemble_reference = if matches!(self.eval, EvalMode::Logical) {
+            None
         } else {
             // Surface configuration-level circuit problems once, up front,
-            // instead of as `trials` identical per-trial failures — and
-            // reuse the validated nominal circuit to run the fill-reducing
-            // symbolic analysis once for the whole ensemble. Trials whose
-            // defects change the topology fall back to a fresh analysis
-            // (the pattern is verified before reuse).
-            let mut nominal_ckt = LatticeCircuit::build(lattice, vars, nominal, self.bench)?;
-            let sym = nominal_ckt.mna_symbolic();
-            nominal_ckt.share_symbolic(Arc::clone(&sym));
+            // instead of as `trials` identical per-trial failures.
+            let nominal_ckt = LatticeCircuit::build(lattice, vars, nominal, self.bench)?;
             // The nominal circuit doubles as the lockstep ensemble's
             // topology reference: lanes are admitted by `same_topology`
             // against it, so defect-rewired trials fall to the scalar path.
-            (Some(sym), use_ensemble.then_some(nominal_ckt))
+            use_ensemble.then_some(nominal_ckt)
         };
 
         let threads = if self.threads == 0 {
@@ -322,7 +315,6 @@ impl MonteCarlo {
             nominal,
             truth: &truth,
             sites: lattice.rows() * lattice.cols(),
-            shared_symbolic,
             ensemble_reference,
         };
         let partials = map_blocks(&block_list, threads, |_, &(start, end)| {
@@ -358,10 +350,6 @@ struct TrialContext<'a> {
     nominal: &'a SwitchCircuitModel,
     truth: &'a TruthTable,
     sites: usize,
-    /// Fill-reducing ordering computed once from the nominal circuit and
-    /// reused by every electrically evaluated trial (`None` in
-    /// [`EvalMode::Logical`], where no MNA system is ever built).
-    shared_symbolic: Option<Arc<fts_spice::Symbolic>>,
     /// Nominal circuit serving as the lockstep ensemble's topology
     /// reference (`Some` only when the ensemble DC path is active).
     ensemble_reference: Option<LatticeCircuit>,
@@ -449,13 +437,9 @@ impl TrialContext<'_> {
         site_models: &[SwitchCircuitModel],
     ) -> Result<LatticeCircuit, fts_circuit::CircuitError> {
         let cols = self.lattice.cols();
-        let mut ckt = LatticeCircuit::build_with(faulty, self.vars, self.mc.bench, |(r, c)| {
+        LatticeCircuit::build_with(faulty, self.vars, self.mc.bench, |(r, c)| {
             site_models[r * cols + c]
-        })?;
-        if let Some(symbolic) = &self.shared_symbolic {
-            ckt.share_symbolic(Arc::clone(symbolic));
-        }
-        Ok(ckt)
+        })
     }
 
     /// DC sweep over all assignments: settled levels against the read

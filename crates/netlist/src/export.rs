@@ -1,4 +1,4 @@
-//! [`SimJob`] → deck text, the inverse of [`crate::elaborate`].
+//! [`SimJob`] → deck text, the inverse of [`crate::elaborate()`].
 //!
 //! The exporter targets *bit-reproducibility*: elaborating the exported
 //! deck yields a job whose results are byte-identical to the original's.

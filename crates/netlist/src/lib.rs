@@ -15,9 +15,9 @@
 //! * [`parse`] / [`ast`] — the grammar subset: `R C V I M X` element
 //!   cards, `.model` (n-MOS level 1/3), `.subckt`/`.ends`, `.param`,
 //!   `.nodeorder`, `.probe`, and the `.op .dc .tran .ac` analyses.
-//! * [`elaborate`] — flattening, parameter substitution, and lowering
+//! * [`mod@elaborate`] — flattening, parameter substitution, and lowering
 //!   into labelled [`SimJob`](fts_engine::SimJob)s, again fully capped.
-//! * [`print`] / [`export`] — the inverse direction; exported decks
+//! * [`mod@print`] / [`export`] — the inverse direction; exported decks
 //!   re-elaborate to byte-identical results.
 //! * [`number`] — the one shared, overflow-rejecting number parser (also
 //!   used by `fts-server`'s JSON reader).

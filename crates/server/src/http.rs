@@ -224,12 +224,27 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadRequest(format!("malformed header {line:?}")));
         };
-        if name.trim().eq_ignore_ascii_case("content-length") {
+        let name = name.trim();
+        if name.eq_ignore_ascii_case("content-length") {
             // A present-but-unparseable length is a malformed header
-            // (RFC 9110 → 400; 411 would mean the header is absent).
-            content_length = Some(value.trim().parse::<usize>().map_err(|_| {
-                HttpError::BadRequest(format!("unparseable Content-Length {:?}", value.trim()))
-            })?);
+            // (RFC 9110 → 400; 411 would mean the header is absent). The
+            // grammar is 1*DIGIT: `parse` alone would also take "+5".
+            let n = Some(value.trim())
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse::<usize>().ok())
+                .ok_or_else(|| {
+                    HttpError::BadRequest(format!("unparseable Content-Length {:?}", value.trim()))
+                })?;
+            // Differing lengths leave the body's end ambiguous (RFC 9112
+            // §6.3): refuse before reading any of it.
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err(HttpError::BadRequest("conflicting Content-Length".into()));
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Bodies are framed by Content-Length only; reading a chunked
+            // body as empty would misreport it as bad JSON.
+            return Err(HttpError::BadRequest("Transfer-Encoding refused".into()));
         }
     }
 

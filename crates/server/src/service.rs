@@ -155,9 +155,9 @@ pub fn deck_submissions(text: &str) -> Result<Vec<Submission>, WireError> {
 }
 
 /// One admitted unit of work: a runnable job plus its report metadata.
-/// Both `POST /v1/jobs` (manifest) and `POST /v1/decks` (raw deck) lower
-/// to these before hitting the shared admission path,
-/// [`JobService::submit_jobs`].
+/// Both `POST /v1/jobs` (manifest, [`JobService::submit`]) and
+/// `POST /v1/decks` (raw deck, [`JobService::submit_deck`]) lower to these
+/// before the shared admission path.
 pub struct Submission {
     /// The runnable engine job.
     pub job: SimJob,
@@ -789,7 +789,7 @@ impl JobService {
     ///
     /// Done jobs embed the full report row — label, timing stats, and the
     /// deterministic `result` object rendered by
-    /// [`outcome_json`](crate::wire::outcome_json).
+    /// [`outcome_json`].
     pub fn status_json(&self, id: u64) -> Option<String> {
         match &self.backend {
             Backend::Remote(fleet) => self.remote_status(fleet, id),

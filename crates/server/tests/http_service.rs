@@ -199,13 +199,21 @@ fn protocol_abuse_maps_to_precise_statuses() {
     assert!(resp.body.contains("\"code\":\"payload_too_large\""));
 
     // Present-but-unparseable Content-Length → 400 (RFC 9110; 411 would
-    // mean the header is missing).
-    for bad_len in ["banana", "-5"] {
+    // mean the header is missing); so are differing lengths and any
+    // Transfer-Encoding, whose body framing the server does not read
+    // (RFC 9112 §6.3), answered before any body byte is read.
+    for bad_framing in [
+        "Content-Length: banana",
+        "Content-Length: -5",
+        "Content-Length: +5",
+        "Content-Length: 2\r\nContent-Length: 3",
+        "Transfer-Encoding: chunked",
+    ] {
         let resp = raw_call(
             addr,
-            format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {bad_len}\r\n\r\n").as_bytes(),
+            format!("POST /v1/jobs HTTP/1.1\r\n{bad_framing}\r\n\r\n").as_bytes(),
         );
-        assert_eq!(resp.status, 400, "for {bad_len:?}: {}", resp.body);
+        assert_eq!(resp.status, 400, "for {bad_framing:?}: {}", resp.body);
         assert!(
             resp.body.contains("\"code\":\"bad_request\""),
             "{}",

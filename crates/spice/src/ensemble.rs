@@ -6,8 +6,8 @@
 //! ordering, *and* an LU structure. [`OpEnsemble`] exploits all three: it
 //! stamps K trials into one [`SparseMatrixEnsemble`](crate::linalg::SparseMatrixEnsemble)
 //! (structure-of-arrays, lane-minor), factors them with one lane-batched
-//! numeric replay ([`EnsembleLu`](crate::linalg::EnsembleLu)), and runs
-//! Newton on all lanes in lockstep under a per-lane convergence mask.
+//! numeric replay ([`EnsembleLu`]), and runs Newton on all lanes in
+//! lockstep under a per-lane convergence mask.
 //!
 //! Each lane walks the same homotopy ladder the scalar path would: plain
 //! Newton from `x = 0`, then — because lattice bias points routinely
@@ -21,8 +21,6 @@
 //! ramp — are *retired* and re-solved through the scalar [`Simulator`]
 //! path with its full homotopy ladder, so one pathological trial never
 //! stalls or poisons the batch.
-
-use std::sync::Arc;
 
 use crate::analysis::{ConvergenceReport, OpOptions, OpResult, OpStrategy};
 use crate::linalg::{EnsembleLu, Symbolic};
@@ -153,7 +151,6 @@ impl LaneOutcome {
 /// across every solve.
 pub struct OpEnsemble {
     reference: Netlist,
-    symbolic: Arc<Symbolic>,
     lanes: Vec<Netlist>,
     sys: EnsembleSystem,
     lu: EnsembleLu,
@@ -171,12 +168,11 @@ pub struct OpEnsemble {
 }
 
 impl OpEnsemble {
-    /// Creates an ensemble for `reference`'s topology. The reference's
-    /// shared symbolic analysis is reused when its pattern still matches;
-    /// otherwise a fresh analysis runs once here and is installed on
-    /// every admitted lane (so scalar fallbacks reuse it too).
+    /// Creates an ensemble for `reference`'s topology, taking the
+    /// pattern's analysis from [`Symbolic::shared`] (where scalar
+    /// fallbacks of admitted lanes find it too).
     pub fn new(reference: &Netlist) -> OpEnsemble {
-        let mut reference = reference.clone();
+        let reference = reference.clone();
         let sys = EnsembleSystem::new(&reference, 1);
         fts_telemetry::counter("spice.solver.sparse_ensemble", 1);
         // a = unknowns, b = pattern non-zeros, like the scalar selection
@@ -187,21 +183,9 @@ impl OpEnsemble {
             reference.unknown_count() as f64,
             sys.matrix().nnz() as f64,
         );
-        let symbolic = match reference.shared_symbolic() {
-            Some(sym) if sym.matches(sys.matrix().pattern()) => {
-                fts_telemetry::counter("spice.sparse.symbolic_reuse", 1);
-                Arc::clone(sym)
-            }
-            _ => {
-                fts_telemetry::counter("spice.sparse.symbolic_new", 1);
-                Arc::new(Symbolic::analyze(sys.matrix().pattern()))
-            }
-        };
-        reference.share_symbolic(Arc::clone(&symbolic));
         OpEnsemble {
+            lu: EnsembleLu::new(Symbolic::shared(sys.matrix().pattern())),
             reference,
-            lu: EnsembleLu::new(Arc::clone(&symbolic)),
-            symbolic,
             lanes: Vec::new(),
             sys,
             lockstep_budget: None,
@@ -244,11 +228,10 @@ impl OpEnsemble {
     /// # Errors
     ///
     /// Returns the netlist itself when its topology differs.
-    pub fn try_push(&mut self, mut netlist: Netlist) -> Result<usize, Box<Netlist>> {
+    pub fn try_push(&mut self, netlist: Netlist) -> Result<usize, Box<Netlist>> {
         if !self.reference.same_topology(&netlist) {
             return Err(Box::new(netlist));
         }
-        netlist.share_symbolic(Arc::clone(&self.symbolic));
         self.lanes.push(netlist);
         self.warm_x.clear();
         self.warm_ok.clear();
@@ -288,14 +271,14 @@ impl OpEnsemble {
     /// lane* so lanes on different rungs still stamp, factor, and solve
     /// together. The *schedule* is tuned for
     /// lockstep rather than copied from the scalar path — capped plain
-    /// budget, fixed gentle rungs (see [`PLAIN_BUDGET_CAP`],
-    /// [`GMIN_RAMP_STEP`]) — which is sound because a converged operating
+    /// budget, fixed gentle rungs (see `PLAIN_BUDGET_CAP`,
+    /// `GMIN_RAMP_STEP`) — which is sound because a converged operating
     /// point is schedule-independent: every path ends in the same
     /// floor-gmin Newton fixed point within the convergence tolerance
     /// (the ensemble-vs-scalar pin is enforced at 1e-9 by tests and the
     /// benchmark's twin gate). A lane whose ladder fails but whose
     /// previous solve converged gets one more lockstep strategy before
-    /// retirement: a source-continuation walk ([`LaneMode::Walk`]) from
+    /// retirement: a source-continuation walk (`LaneMode::Walk`) from
     /// its old operating point to the new sources. Converged lanes
     /// freeze; retired lanes (pivot degradation, singular skeleton,
     /// non-finite update, or a failed rung and walk) re-run through the

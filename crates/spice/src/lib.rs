@@ -14,8 +14,9 @@
 //!   levels, threshold crossings (the quantities reported for Fig. 11);
 //! * [`linalg`] — the linear-solver core: a dense LU reference oracle and
 //!   a sparse engine (CSR matrix, minimum-degree ordering, Gilbert–Peierls
-//!   LU) whose symbolic factorization is computed once per topology and
-//!   shared across Newton iterations, timesteps, and Monte Carlo trials;
+//!   LU) whose symbolic factorization is computed once per sparsity
+//!   pattern and shared across Newton iterations, timesteps, Monte Carlo
+//!   trials, and jobs;
 //! * [`ensemble`] — the lockstep ensemble solver: K same-topology trials
 //!   stamped into structure-of-arrays value lanes, factored by one
 //!   lane-batched numeric replay, and driven through Newton under a
@@ -23,9 +24,10 @@
 //!
 //! Analyses pick the engine per netlist via
 //! [`netlist::SolverKind`]: `Auto` (default, by system size), `Dense`, or
-//! `Sparse`. Ensembles of same-topology netlists amortize the symbolic
-//! analysis through [`netlist::Netlist::mna_symbolic`] and
-//! [`netlist::Netlist::share_symbolic`].
+//! `Sparse`. Every sparse solver takes its symbolic analysis from
+//! [`Symbolic::shared`], a process-wide memo keyed by the exact pattern,
+//! so same-topology netlists analyze their pattern once however they are
+//! solved.
 //!
 //! Long-running analyses accept a [`CancelToken`] (cooperative
 //! cancellation with optional deadlines, checked inside every Newton

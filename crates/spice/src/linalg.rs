@@ -8,14 +8,14 @@
 //!   netlist's stamp pattern; Newton iterations only rewrite `values`.
 //! * [`Symbolic`] — a fill-reducing column ordering (greedy minimum degree
 //!   on the pattern of `A + Aᵀ`) plus a permuted column view of the CSR
-//!   pattern. Computed once per netlist *topology* and shared across Newton
-//!   iterations, homotopy rungs, transient timesteps, and every Monte Carlo
-//!   trial of an ensemble.
+//!   pattern. Computed once per pattern by a process-wide memo
+//!   ([`Symbolic::shared`]) and shared across Newton iterations, homotopy
+//!   rungs, transient timesteps, Monte Carlo trials, and jobs.
 //! * [`SparseLu`] — left-looking Gilbert–Peierls LU with partial pivoting.
 //!   All factor/solve workspaces live in the struct and are reused, so a
 //!   numeric refactorization performs no steady-state allocation.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::SpiceError;
 
@@ -257,11 +257,12 @@ impl SparseMatrix {
 /// permuted-column view of a CSR pattern.
 ///
 /// Analysis is the expensive part (minimum-degree is quadratic-ish), so a
-/// `Symbolic` is computed once per topology and shared — wrapped in an
-/// [`Arc`] — across every numeric refactorization of matrices with the same
-/// pattern: all Newton iterations, every transient timestep, and all Monte
-/// Carlo trials of an ensemble.
-#[derive(Debug)]
+/// `Symbolic` is computed once per pattern by [`shared`](Symbolic::shared)
+/// and shared — wrapped in an [`Arc`] — across every numeric
+/// refactorization of matrices with that pattern: all Newton iterations,
+/// every transient timestep, every Monte Carlo trial, and every job of one
+/// topology.
+#[derive(Debug, PartialEq)]
 pub struct Symbolic {
     n: usize,
     /// Pattern fingerprint for [`matches`](Symbolic::matches).
@@ -326,11 +327,94 @@ impl Symbolic {
     }
 
     /// True when `a` has exactly the pattern this symbolic was built from —
-    /// the precondition for reusing it. Monte Carlo defect trials can rewire
-    /// gates and *change* the pattern; callers must check and fall back to a
-    /// fresh analysis when this returns false.
+    /// the precondition for reusing it.
     pub fn matches(&self, a: &SparseMatrix) -> bool {
         self.n == a.n && self.row_ptr == a.row_ptr && self.cols == a.cols
+    }
+
+    /// The analysis of `a`'s pattern from a process-wide memo, the one
+    /// place that decides when a pattern is analyzed: a retained analysis
+    /// if the pattern was seen, else a new one, analyzed with no lock held
+    /// and retained under a fixed budget with least-recently-used
+    /// eviction. Books `spice.sparse.symbolic_new` / `symbolic_reuse` and
+    /// emits the `sparse_symbolic` trace event (`new` / `reuse`).
+    pub fn shared(a: &SparseMatrix) -> Arc<Symbolic> {
+        let key = pattern_hash(a);
+        let hit = lock_memo().get(key, a);
+        if let Some(symbolic) = hit {
+            fts_telemetry::counter("spice.sparse.symbolic_reuse", 1);
+            fts_telemetry::trace::emit("sparse_symbolic", "reuse", 0.0, 0.0);
+            return symbolic;
+        }
+        fts_telemetry::counter("spice.sparse.symbolic_new", 1);
+        fts_telemetry::trace::emit("sparse_symbolic", "new", 0.0, 0.0);
+        let symbolic = Arc::new(Symbolic::analyze(a));
+        lock_memo().insert(key, a, symbolic, SYMBOLIC_MEMO_BUDGET)
+    }
+
+    /// What retaining this analysis charges against a memo budget: one
+    /// unit per row and per nonzero (24 bytes of index arrays each), plus
+    /// 16 for the entry's bookkeeping (under 384 bytes).
+    fn charge(&self) -> usize {
+        self.n + self.cols.len() + 16
+    }
+}
+
+/// Budget of the [`Symbolic::shared`] memo in charge units of at most 24
+/// bytes each: the memo retains at most 3 MiB.
+const SYMBOLIC_MEMO_BUDGET: usize = 1 << 17;
+
+static SYMBOLIC_MEMO: Mutex<SymbolicMemo> = Mutex::new(SymbolicMemo(Vec::new()));
+
+/// Locks the memo. Every update moves, adds or removes a whole entry, so
+/// a lock poisoned by a panicking holder is recovered, not propagated.
+fn lock_memo() -> MutexGuard<'static, SymbolicMemo> {
+    SYMBOLIC_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// FNV-1a over the pattern's words: the memo's lookup key, confirmed by
+/// [`Symbolic::matches`].
+fn pattern_hash(a: &SparseMatrix) -> u64 {
+    std::iter::once(a.n)
+        .chain(a.row_ptr.iter().copied())
+        .chain(a.cols.iter().copied())
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w as u64).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// Retained `(pattern hash, analysis)` pairs, least recently used first.
+struct SymbolicMemo(Vec<(u64, Arc<Symbolic>)>);
+
+impl SymbolicMemo {
+    /// The retained analysis of `a`'s pattern, now most recently used.
+    fn get(&mut self, key: u64, a: &SparseMatrix) -> Option<Arc<Symbolic>> {
+        let i = self.0.iter().position(|(k, s)| *k == key && s.matches(a))?;
+        self.0[i..].rotate_left(1);
+        self.0.last().map(|(_, s)| Arc::clone(s))
+    }
+
+    /// Retains `symbolic` within `budget`, least recently used analyses
+    /// making room, and returns the analysis callers share: one another
+    /// thread retained meanwhile wins. One over `budget` is not retained.
+    fn insert(
+        &mut self,
+        key: u64,
+        a: &SparseMatrix,
+        symbolic: Arc<Symbolic>,
+        budget: usize,
+    ) -> Arc<Symbolic> {
+        if let Some(retained) = self.get(key, a) {
+            return retained;
+        }
+        if symbolic.charge() <= budget {
+            self.0.push((key, Arc::clone(&symbolic)));
+            let mut retained: usize = self.0.iter().map(|(_, s)| s.charge()).sum();
+            while retained > budget {
+                retained -= self.0.remove(0).1.charge();
+            }
+        }
+        symbolic
     }
 }
 
@@ -446,7 +530,7 @@ impl SparseLu {
     /// against the stored `L`/`U` structure and pivot order (no reach
     /// computation, no pivot search), falling back to a full pivoting
     /// factorization when a reused pivot has degraded past
-    /// [`REFACTOR_PIVOT_TOL`] of its column maximum.
+    /// `REFACTOR_PIVOT_TOL` of its column maximum.
     ///
     /// # Errors
     ///
@@ -858,7 +942,7 @@ impl SparseMatrixEnsemble {
 /// refactorization performs, but over contiguous lane chunks the
 /// autovectorizer turns into SIMD.
 ///
-/// Lanes whose inherited pivot degrades past [`REFACTOR_PIVOT_TOL`] are
+/// Lanes whose inherited pivot degrades past `REFACTOR_PIVOT_TOL` are
 /// *retired* (their `alive` flag cleared) rather than failing the batch;
 /// the caller re-runs retired lanes through the scalar path, which can
 /// re-pivot for that lane's values.
@@ -1651,5 +1735,78 @@ mod tests {
         let x = lu.factor_solve(&m, &[2.0, 3.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
+    }
+
+    /// An `n`-row pattern with the diagonal and one off-diagonal entry per
+    /// row, `shift` columns to the right: charge `3n + 16` for any `shift`
+    /// in `1..n`, and a distinct pattern for each.
+    fn ring(n: usize, shift: usize) -> SparseMatrix {
+        SparseMatrix::from_entries(n, (0..n).flat_map(|i| [(i, i), (i, (i + shift) % n)]))
+    }
+
+    #[test]
+    fn memo_shares_one_analysis_per_pattern() {
+        let (a, b) = (ring(53, 5), ring(53, 6));
+        let first = Symbolic::shared(&a);
+        assert!(Arc::ptr_eq(&first, &Symbolic::shared(&a)));
+        let other = Symbolic::shared(&b);
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert!(first.matches(&a) && other.matches(&b));
+        assert_eq!(*first, Symbolic::analyze(&a));
+    }
+
+    #[test]
+    fn memo_evicts_least_recently_used_pattern() {
+        let patterns: Vec<SparseMatrix> = (1..5).map(|shift| ring(10, shift)).collect();
+        let mut memo = SymbolicMemo(Vec::new());
+        let insert = |memo: &mut SymbolicMemo, p: &SparseMatrix| {
+            memo.insert(pattern_hash(p), p, Arc::new(Symbolic::analyze(p)), 3 * 46)
+        };
+        for p in &patterns[..3] {
+            insert(&mut memo, p);
+        }
+        // Touch the oldest; the fourth pattern then evicts the second.
+        assert!(memo.get(pattern_hash(&patterns[0]), &patterns[0]).is_some());
+        insert(&mut memo, &patterns[3]);
+        let retained: Vec<bool> = patterns
+            .iter()
+            .map(|p| memo.get(pattern_hash(p), p).is_some())
+            .collect();
+        assert_eq!(retained, [true, false, true, true]);
+    }
+
+    #[test]
+    fn memo_does_not_retain_a_pattern_over_budget() {
+        let p = ring(10, 3);
+        let mut memo = SymbolicMemo(Vec::new());
+        let symbolic = memo.insert(pattern_hash(&p), &p, Arc::new(Symbolic::analyze(&p)), 45);
+        assert!(symbolic.matches(&p));
+        assert!(memo.0.is_empty());
+        assert!(memo.get(pattern_hash(&p), &p).is_none());
+    }
+
+    #[test]
+    fn concurrent_requests_for_a_new_pattern_agree() {
+        let p = ring(61, 17);
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<Arc<Symbolic>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        Symbolic::shared(&p)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("memo thread"))
+                .collect()
+        });
+        let fresh = Symbolic::analyze(&p);
+        for r in &results {
+            assert_eq!(**r, fresh);
+            assert!(Arc::ptr_eq(r, &results[0]));
+        }
     }
 }

@@ -2,9 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use crate::linalg::Symbolic;
 use crate::mos3::Mos3Params;
 use crate::SpiceError;
 
@@ -274,7 +272,6 @@ pub struct Netlist {
     pub(crate) devices: Vec<Device>,
     pub(crate) vsource_count: usize,
     solver: SolverKind,
-    shared_symbolic: Option<Arc<Symbolic>>,
 }
 
 impl Netlist {
@@ -289,7 +286,6 @@ impl Netlist {
             devices: Vec::new(),
             vsource_count: 0,
             solver: SolverKind::Auto,
-            shared_symbolic: None,
         };
         nl.names.push("0".to_owned());
         nl.by_name.insert("0".to_owned(), NodeId(0));
@@ -619,38 +615,13 @@ impl Netlist {
     }
 
     /// True when analyses of this netlist will run on the sparse engine —
-    /// selected explicitly, or by `Auto` at the size threshold. Batch
-    /// schedulers use this to decide whether a shared symbolic
-    /// factorization would pay off.
+    /// selected explicitly, or by `Auto` at the size threshold.
     pub fn uses_sparse_solver(&self) -> bool {
         match self.solver {
             SolverKind::Dense => false,
             SolverKind::Sparse => true,
             SolverKind::Auto => self.unknown_count() >= crate::stamp::SPARSE_THRESHOLD,
         }
-    }
-
-    /// Installs a shared symbolic factorization. Analyses using the sparse
-    /// engine reuse it instead of re-running the fill-reducing ordering —
-    /// the key amortization across Monte Carlo trials of an ensemble,
-    /// whose netlists differ only in parameter values, not topology. The
-    /// pattern is verified before use; a mismatch (e.g. a defect trial
-    /// that rewired a gate) silently falls back to a fresh analysis.
-    pub fn share_symbolic(&mut self, symbolic: Arc<Symbolic>) {
-        self.shared_symbolic = Some(symbolic);
-    }
-
-    /// The installed shared symbolic factorization, if any.
-    pub fn shared_symbolic(&self) -> Option<&Arc<Symbolic>> {
-        self.shared_symbolic.as_ref()
-    }
-
-    /// Analyzes this netlist's MNA sparsity pattern and returns a symbolic
-    /// factorization suitable for [`share_symbolic`](Netlist::share_symbolic)
-    /// on any netlist with identical topology.
-    pub fn mna_symbolic(&self) -> Arc<Symbolic> {
-        fts_telemetry::counter("spice.sparse.symbolic_new", 1);
-        Arc::new(Symbolic::analyze(&crate::stamp::mna_pattern(self)))
     }
 
     /// The MNA sparsity pattern of this netlist, for diagnostics and

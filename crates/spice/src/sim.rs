@@ -25,11 +25,9 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use crate::analysis::{self, AcResult, OpOptions, OpResult, SampleSink, TranConfig, Transient};
 use crate::cancel::CancelToken;
-use crate::linalg::Symbolic;
 use crate::netlist::{Netlist, SolverKind};
 use crate::stamp::SolverWorkspace;
 use crate::SpiceError;
@@ -83,15 +81,6 @@ impl<'a> Simulator<'a> {
             self.netlist.to_mut().set_solver(kind);
             self.ws = RefCell::new(None);
         }
-        self
-    }
-
-    /// Installs a shared sparse symbolic factorization (see
-    /// [`Netlist::share_symbolic`]); ensembles of same-topology circuits
-    /// amortize the symbolic analysis this way.
-    pub fn share_symbolic(mut self, symbolic: Arc<Symbolic>) -> Simulator<'a> {
-        self.netlist.to_mut().share_symbolic(symbolic);
-        self.ws = RefCell::new(None);
         self
     }
 

@@ -23,8 +23,6 @@
 //! ([`Netlist::uses_sparse_solver`]), and [`damped_update`] is the one
 //! Newton update that [`newton`] and every ensemble lane apply.
 
-use std::sync::Arc;
-
 use crate::cancel::CancelToken;
 use crate::complex::{CMatrix, Complex};
 use crate::linalg::{Matrix, SparseLu, SparseMatrix, SparseMatrixEnsemble, Symbolic};
@@ -805,8 +803,8 @@ pub(crate) enum SolverWorkspace {
 
 impl SolverWorkspace {
     /// Builds the workspace a netlist's analyses should use, honouring
-    /// [`Netlist::uses_sparse_solver`] and reusing the netlist's shared
-    /// symbolic analysis when its pattern still matches.
+    /// [`Netlist::uses_sparse_solver`]; a sparse workspace takes its
+    /// pattern's analysis from [`Symbolic::shared`].
     pub fn for_netlist(netlist: &Netlist) -> SolverWorkspace {
         let n = netlist.unknown_count();
         if !netlist.uses_sparse_solver() {
@@ -823,29 +821,10 @@ impl SolverWorkspace {
         let pattern = sys.matrix().pattern();
         // a = unknowns, b = pattern non-zeros.
         fts_telemetry::trace::emit("solver_selected", "sparse", n as f64, pattern.nnz() as f64);
-        let symbolic = match netlist.shared_symbolic() {
-            Some(sym) if sym.matches(pattern) => {
-                fts_telemetry::counter("spice.sparse.symbolic_reuse", 1);
-                fts_telemetry::trace::emit("sparse_symbolic", "reuse", 0.0, 0.0);
-                Arc::clone(sym)
-            }
-            Some(_) => {
-                // Defect-injected trials can rewire gates and change the
-                // pattern — fall back to a fresh analysis.
-                fts_telemetry::counter("spice.sparse.symbolic_miss", 1);
-                fts_telemetry::trace::emit("sparse_symbolic", "miss", 0.0, 0.0);
-                Arc::new(Symbolic::analyze(pattern))
-            }
-            None => {
-                fts_telemetry::counter("spice.sparse.symbolic_new", 1);
-                fts_telemetry::trace::emit("sparse_symbolic", "new", 0.0, 0.0);
-                Arc::new(Symbolic::analyze(pattern))
-            }
-        };
         if fts_telemetry::enabled() {
             fts_telemetry::record("spice.sparse.pattern_nnz", pattern.nnz() as f64);
         }
-        let lu = Box::new(SparseLu::new(symbolic));
+        let lu = Box::new(SparseLu::new(Symbolic::shared(pattern)));
         SolverWorkspace::Sparse {
             sys,
             lu,

@@ -2,9 +2,11 @@
 //! every analysis run through the sparse engine must reproduce it to
 //! solver-roundoff accuracy (≤ 1e-9 max absolute voltage error).
 
+use std::sync::Arc;
+
 use fts_spice::analysis::TranConfig;
 use fts_spice::netlist::{MosParams, Netlist, SolverKind, Waveform};
-use fts_spice::Simulator;
+use fts_spice::{Simulator, SparseLu, Symbolic};
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-9;
@@ -154,17 +156,34 @@ fn singular_netlist_fails_on_both_engines() {
 }
 
 #[test]
-fn shared_symbolic_reproduces_fresh_analysis() {
+fn memo_symbolic_reproduces_fresh_analysis() {
+    // A sparse op leaves the ladder's pattern in the memo. A solve factored
+    // on the memo's analysis must equal, bit for bit, one factored on an
+    // analysis built directly from the same pattern.
     let nl = pass_ladder(10);
-    let fresh = Simulator::new(&nl).solver(SolverKind::Sparse).op().unwrap();
-    let reused = Simulator::new(&nl)
-        .solver(SolverKind::Sparse)
-        .share_symbolic(nl.mna_symbolic())
-        .op()
-        .unwrap();
-    for (a, b) in fresh.unknowns().iter().zip(reused.unknowns()) {
-        assert!((a - b).abs() <= 1e-15, "shared symbolic changes nothing");
+    Simulator::new(&nl).solver(SolverKind::Sparse).op().unwrap();
+    let mut a = nl.mna_pattern();
+    let n = a.n();
+    for row in 0..n {
+        for col in 0..n {
+            if let Some(slot) = a.slot(row, col) {
+                a.values_mut()[slot] = if row == col {
+                    4.0 + row as f64
+                } else {
+                    -(((3 * row + 5 * col) % 7) as f64 + 1.0) / 8.0
+                };
+            }
+        }
     }
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 / 3.0).collect();
+    let solve = |symbolic| {
+        let x = SparseLu::new(symbolic).factor_solve(&a, &b).unwrap();
+        x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+    };
+    assert_eq!(
+        solve(Symbolic::shared(&a)),
+        solve(Arc::new(Symbolic::analyze(&a)))
+    );
 }
 
 /// Description of one randomly generated device.
